@@ -15,8 +15,8 @@ from .config import TrainConfig, load_config
 from .data import ingest, load_processed, preprocess, save_processed, split, synth
 from .evaluate import (PopularityScorer, evaluate, head_tail_report,
                        length_bucket_report, rank_records, uncertainty_probe)
-from .infer import build_scorer, infer
-from .metrics import report_csv_rows, report_table
+from .infer import HistoryError, build_scorer, rank_items
+from .metrics import report_csv_rows, report_from_ranks, report_table
 from .rng import RngStream
 from .schedule import build_schedule, dump_schedule_csv
 from .train import run_training
@@ -74,9 +74,8 @@ def _cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     scorer = build_scorer(ckpt, steps=args.steps)
     sequence = _parse_sequence(args.sequence)
-    rng = RngStream(args.seed)
-    scores = scorer.score(sequence, rng)
-    ranking = infer(scorer, sequence, RngStream(args.seed))
+    scores = scorer.score(sequence, RngStream(args.seed))
+    ranking = rank_items(scores)
     print("rank\titem\tscore")
     for pos, item in enumerate(ranking[: args.topk], start=1):
         print(f"{pos}\t{item}\t{scores[item]:.6g}")
@@ -90,15 +89,13 @@ def _cmd_eval(args) -> int:
     samples = {"train": splits.train, "valid": splits.valid,
                "test": splits.test}[args.split]
     scorer = build_scorer(ckpt, steps=args.steps)
-    reports = [evaluate(scorer, samples, args.seed, mask_history=args.mask_history)]
-    if args.head_tail or args.length_buckets:
-        records = rank_records(scorer, samples, RngStream(args.seed),
-                               mask_history=args.mask_history)
-        if args.head_tail:
-            reports.extend(head_tail_report(records, splits.train_freqs,
-                                            dataset.n_items))
-        if args.length_buckets:
-            reports.extend(length_bucket_report(records))
+    records = rank_records(scorer, samples, RngStream(args.seed),
+                           mask_history=args.mask_history)
+    reports = [report_from_ranks([r.rank for r in records])]
+    if args.head_tail:
+        reports.extend(head_tail_report(records, splits.train_freqs, dataset.n_items))
+    if args.length_buckets:
+        reports.extend(length_bucket_report(records))
     print(report_table(reports))
     if args.out:
         Path(args.out).write_text("\n".join(report_csv_rows(reports)) + "\n")
@@ -216,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except HistoryError as exc:
+        print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

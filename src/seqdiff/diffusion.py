@@ -75,9 +75,7 @@ def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
 
 def sample_step(t: int, rng: RngStream) -> int:
     """Uniform step index in [1, t]."""
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
-    return int(rng.integers(1, t + 1))
+    return int(sample_steps(t, None, rng))
 
 
 def sample_steps(t: int, size: int, rng: RngStream) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Every target is ranked against the whole vocabulary (no sampled negatives).
 Each sequence gets its own random stream derived from (base seed, sequence
-index), so evaluation order does not matter and parallel fan-out would give
-identical numbers.
+index), and a row's representation does not depend on its batch, so
+evaluation order and batching do not matter.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .infer import Scorer
+from .infer import Scorer, rank_items
 from .metrics import DEFAULT_KS, EvalReport, report_from_ranks
 from .rng import RngStream
 
@@ -44,10 +44,14 @@ def target_rank(scores: np.ndarray, target: int) -> int:
 
 def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
                  mask_history: bool = False) -> list[RankRecord]:
-    """Rank the target of every sample with a per-sequence derived stream."""
+    """Rank each sample's target in one batch; sample i uses rng_base.derive(i)."""
+    if not samples:
+        raise ValueError("evaluation split is empty")
+    vectors = scorer.represent_batch([s.history for s in samples],
+                                     [rng_base.derive(i) for i in range(len(samples))])
     records = []
-    for i, sample in enumerate(samples):
-        scores = scorer.score(sample.history, rng_base.derive(i))
+    for sample, vec in zip(samples, vectors):
+        scores = scorer.score_vector(vec)
         if mask_history:
             seen = [it for it in set(sample.history) if it != sample.target]
             if seen:
@@ -62,8 +66,6 @@ def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
 def evaluate(scorer: Scorer, samples: list[Sample], seed: int,
              ks=DEFAULT_KS, mask_history: bool = False) -> EvalReport:
     """Mean HR@K / NDCG@K of a scorer over an evaluation split."""
-    if not samples:
-        raise ValueError("evaluation split is empty")
     start = time.perf_counter()
     records = rank_records(scorer, samples, RngStream(seed), mask_history)
     return report_from_ranks([r.rank for r in records], ks=ks,
@@ -72,8 +74,7 @@ def evaluate(scorer: Scorer, samples: list[Sample], seed: int,
 
 def head_items(train_freqs: np.ndarray, n_items: int) -> set[int]:
     """The 20% most frequent items; boundary ties go to the lower index."""
-    order = sorted(range(1, n_items + 1), key=lambda i: (-train_freqs[i], i))
-    return set(order[: int(0.2 * n_items)])
+    return set(rank_items(train_freqs[: n_items + 1])[: int(0.2 * n_items)].tolist())
 
 
 def head_tail_report(records: list[RankRecord], train_freqs: np.ndarray,
@@ -109,36 +110,38 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
     Returns the union size of the top-k lists plus the raw reversed vectors
     (one row per reversal), which downstream projection tools can consume.
     """
+    vectors = scorer.represent_batch(
+        [sequence] * n_reverses, [RngStream(base_seed + j) for j in range(n_reverses)])
     union: set[int] = set()
-    vectors = []
-    for j in range(n_reverses):
-        rng = RngStream(base_seed + j)
-        vec = scorer.represent(sequence, rng)
-        vectors.append(vec)
-        scores = scorer.score_vector(vec)
-        top = np.argsort(-scores[1:], kind="stable")[:k] + 1
-        union.update(int(i) for i in top)
+    for vec in vectors:
+        union.update(rank_items(scorer.score_vector(vec))[:k].tolist())
     probe = UncertaintyProbe(n_reverses=n_reverses, k=k,
                              unique_item_count=len(union))
-    return probe, np.array(vectors)
+    return probe, vectors
 
 
 def popularity_baseline(train_freqs: np.ndarray) -> list[int]:
     """Static ranking by descending training frequency, ties to lower index."""
     if train_freqs[1:].sum() == 0:
         raise ValueError("no training interactions to rank by")
-    n_items = len(train_freqs) - 1
-    return sorted(range(1, n_items + 1), key=lambda i: (-train_freqs[i], i))
+    return rank_items(train_freqs).tolist()
 
 
 class PopularityScorer(Scorer):
-    """Scores items by their training frequency; ignores the history."""
+    """Scores items by training frequency (its representation); ignores the history."""
 
     def __init__(self, train_freqs: np.ndarray):
         self.freqs = np.asarray(train_freqs, dtype=float)
         self.n_items = len(self.freqs) - 1
 
-    def score(self, history, rng: RngStream | None = None) -> np.ndarray:
-        scores = self.freqs.copy()
+    def represent(self, history, rng: RngStream | None = None) -> np.ndarray:
+        return self.freqs
+
+    def represent_batch(self, histories, rngs) -> np.ndarray:
+        # a read-only view: B rows of the one frequency vector take no memory
+        return np.broadcast_to(self.freqs, (len(histories), len(self.freqs)))
+
+    def score_vector(self, vec: np.ndarray) -> np.ndarray:
+        scores = np.array(vec, dtype=float)
         scores[0] = -np.inf
         return scores

@@ -1,11 +1,13 @@
 """Inference: iterative reversal from noise and rounding to item indices.
 
-Scorers share one contract: `represent(history, rng)` produces a continuous
-target representation and `score(history, rng)` turns it into per-item
-scores by inner product against the embedding table (index 0, the padding
-row, is pinned to -inf). The diffusion scorer reverses a Gaussian sample
-through the trained approximator; the next-item scorer (adversarial
-baseline) encodes the history once, deterministically.
+Scorers share one contract: `represent_batch(histories, rngs)` produces one
+continuous target representation per history and stream (`represent` is the
+one-row case), and `score_vector` turns one into per-item scores by inner
+product against the embedding table (index 0, the padding row, is pinned to
+-inf). The diffusion scorer reverses a Gaussian sample through the trained
+approximator; the next-item scorer (adversarial baseline) encodes the
+history once, deterministically. Histories run in unpadded groups of one
+length, so a row's bytes do not depend on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,20 @@ import numpy as np
 from .checkpoint import ModelCheckpoint, model_from_checkpoint
 from .diffusion import reverse_step
 from .model import Approximator
-from .rng import RngStream
+from .rng import RngStream, gaussian_rows
 from .schedule import NoiseSchedule, build_schedule
 from .tensor import Tensor
+
+ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
+
+
+class HistoryError(ValueError):
+    """A history the model cannot score: empty, or an item outside the vocabulary."""
+
+
+def rank_items(scores) -> np.ndarray:
+    """Items 1..V by descending score, ties to the lower index; padding (0) left out."""
+    return np.argsort(-np.asarray(scores)[1:], kind="stable") + 1
 
 
 def rounding(x_0, item_embeddings) -> list[int]:
@@ -30,9 +43,7 @@ def rounding(x_0, item_embeddings) -> list[int]:
         else np.asarray(item_embeddings)
     if not np.all(np.isfinite(vec)):
         raise ValueError("x_0 must be finite")
-    scores = table[1:] @ vec.reshape(-1)
-    order = np.argsort(-scores, kind="stable")  # stable keeps ascending index on ties
-    return [int(i) + 1 for i in order]
+    return rank_items(table @ vec.reshape(-1)).tolist()
 
 
 class Scorer:
@@ -42,6 +53,10 @@ class Scorer:
 
     def represent(self, history, rng: RngStream) -> np.ndarray:
         raise NotImplementedError
+
+    def represent_batch(self, histories, rngs) -> np.ndarray:
+        """One representation per history, as rows of a (B, dim) array."""
+        return np.array([self.represent(h, r) for h, r in zip(histories, rngs)])
 
     def score_vector(self, vec: np.ndarray) -> np.ndarray:
         """(dim,) representation -> (n_items + 1,) scores, index 0 = -inf."""
@@ -61,22 +76,36 @@ class _EmbeddingScorer(Scorer):
         scores[0] = -np.inf
         return scores
 
-    def _history_batch(self, history):
-        hist = np.asarray(list(history), dtype=int)
-        hist = hist[-self.model.cfg.max_len:]
+    def _history(self, history) -> np.ndarray:
+        hist = np.asarray(list(history), dtype=int)[-self.model.cfg.max_len:]
         if hist.size == 0:
-            raise ValueError("history is empty after truncation")
-        if hist.min() < 1 or hist.max() > self.n_items:
-            raise ValueError(f"history items must be in [1, {self.n_items}]")
-        return hist.reshape(1, -1), np.ones((1, hist.size))
+            raise HistoryError("history is empty after truncation")
+        bad = hist[(hist < 1) | (hist > self.n_items)]
+        if bad.size:
+            raise HistoryError(f"history item {bad[0]} is outside [1, {self.n_items}]")
+        return hist
+
+    def represent_batch(self, histories, rngs) -> np.ndarray:
+        """Checks every history, then runs `_represent_rows` per (B, n) group."""
+        hists = [self._history(h) for h in histories]
+        if not hists:
+            return np.empty((0, self.model.cfg.dim))
+        by_len: dict[int, list[int]] = {}
+        for i, hist in enumerate(hists):
+            by_len.setdefault(hist.size, []).append(i)
+        chunks = [rows[a:a + ROWS_PER_CALL] for rows in by_len.values()
+                  for a in range(0, len(rows), ROWS_PER_CALL)]
+        parts = [self._represent_rows(np.stack([hists[i] for i in c]), [rngs[i] for i in c])
+                 for c in chunks]
+        return np.concatenate(parts)[np.argsort([i for c in chunks for i in c])]
 
 
 class DiffusionScorer(_EmbeddingScorer):
     """Reverses pure noise into a target representation with the trained model.
 
-    Per call the stream is consumed in a fixed order: the initial Gaussian,
-    then per reverse step the mixing noise (inside the approximator) and the
-    posterior noise.
+    Each row's stream is consumed in a fixed order: the (1, dim) initial
+    Gaussian, then per reverse step the row's (1, n, dim) mixing noise
+    (inside the approximator) and its (1, dim) posterior noise.
     """
 
     def __init__(self, model: Approximator, steps: int | None = None,
@@ -91,24 +120,28 @@ class DiffusionScorer(_EmbeddingScorer):
             cfg.schedule_tau, cfg.schedule_b_constant)
 
     def represent(self, history, rng: RngStream) -> np.ndarray:
-        hist, mask = self._history_batch(history)
-        dim = self.model.cfg.dim
-        x = rng.gaussian((1, dim))
+        return self.represent_batch([history], [rng])[0]
+
+    def _represent_rows(self, hist: np.ndarray, rngs: list) -> np.ndarray:
+        b, dim = len(hist), self.model.cfg.dim
+        mask = np.ones(hist.shape)
+        x = gaussian_rows(rngs, (dim,))
         for s in range(self.steps, 0, -1):
-            x0_hat = self.model.reconstruct(hist, mask, x, np.array([s]), rng,
+            x0_hat = self.model.reconstruct(hist, mask, x, np.full(b, s), rngs,
                                             train_mode=False).data
-            eps_prime = rng.gaussian((1, dim))
-            x = reverse_step(x, x0_hat, s, self.schedule, eps_prime,
+            x = reverse_step(x, x0_hat, s, self.schedule, gaussian_rows(rngs, (dim,)),
                              noise_sqrt=self.model.cfg.reverse_noise_sqrt)
-        return x[0]
+        return x
 
 
 class NextItemScorer(_EmbeddingScorer):
     """Deterministic encoder scoring for the plain next-item (adversarial) model."""
 
     def represent(self, history, rng: RngStream | None = None) -> np.ndarray:
-        hist, mask = self._history_batch(history)
-        return self.model.encode_history(hist, mask, train_mode=False).data[0]
+        return self.represent_batch([history], [rng])[0]
+
+    def _represent_rows(self, hist: np.ndarray, rngs: list) -> np.ndarray:
+        return self.model.encode_history(hist, np.ones(hist.shape), train_mode=False).data
 
 
 def build_scorer(ckpt: ModelCheckpoint, steps: int | None = None) -> Scorer:
@@ -120,6 +153,4 @@ def build_scorer(ckpt: ModelCheckpoint, steps: int | None = None) -> Scorer:
 
 def infer(scorer: Scorer, sequence, rng: RngStream) -> list[int]:
     """Full ranked item list for one history."""
-    scores = scorer.score(sequence, rng)
-    order = np.argsort(-scores[1:], kind="stable")
-    return [int(i) + 1 for i in order]
+    return rank_items(scorer.score(sequence, rng)).tolist()

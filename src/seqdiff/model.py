@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TrainConfig
-from .rng import RngStream
+from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows,
                      layer_norm, matmul, mul, relu, reshape, sigmoid, softmax,
                      tanh, transpose)
@@ -27,22 +27,13 @@ _NEG_INF = -1e9
 
 
 def step_embedding(s: int, dim: int) -> np.ndarray:
-    """Sinusoidal encoding of a diffusion/reverse step index.
-
-    out[2i] = sin(s / 10000^(2i/dim)), out[2i+1] = cos of the same angle.
-    """
-    if dim % 2 != 0:
-        raise ValueError(f"step embedding needs an even dim, got {dim}")
-    freqs = 1.0 / np.power(10000.0, np.arange(0, dim, 2) / dim)
-    angles = s * freqs
-    out = np.empty(dim)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
-    return out
+    """Sinusoidal encoding of one diffusion/reverse step index."""
+    return step_embedding_batch([s], dim)[0]
 
 
 def step_embedding_batch(steps, dim: int) -> np.ndarray:
-    """(B,) step indices -> (B, dim) sinusoidal encodings."""
+    """(B,) step indices -> (B, dim): out[:, 2i] = sin(s / 10000^(2i/dim)),
+    out[:, 2i+1] = cos of the same angle."""
     if dim % 2 != 0:
         raise ValueError(f"step embedding needs an even dim, got {dim}")
     s = np.asarray(steps, dtype=float).reshape(-1, 1)
@@ -54,21 +45,25 @@ def step_embedding_batch(steps, dim: int) -> np.ndarray:
     return out
 
 
-def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream,
+def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
         mask: np.ndarray | None = None, scalar_lambda: bool = False) -> Tensor:
     """Blend the target representation into every history position.
 
     z_i = e_i + lambda_i * (x + d) with lambda drawn i.i.d. from a normal
     with mean `delta` and variance `delta` (per position and, unless
     `scalar_lambda`, per dimension). delta=0 reduces to the raw embeddings.
-    Padded positions come out as zero vectors.
+    Padded positions come out as zero vectors. `rng` is one stream, or a
+    list of one stream per row that each draw that row's lambda block.
     """
     b, n, dim = e_seq.shape
     x_data = x.data if isinstance(x, Tensor) else np.asarray(x)
     u = add(reshape(x if isinstance(x, Tensor) else Tensor(x_data), (b, 1, dim)),
             Tensor(np.asarray(d).reshape(b, 1, dim)))
-    lam_shape = (b, n, 1) if scalar_lambda else (b, n, dim)
-    lam = rng.gaussian(lam_shape, mean=delta, std=np.sqrt(delta))
+    lam_shape = (n, 1) if scalar_lambda else (n, dim)
+    if isinstance(rng, RngStream):
+        lam = rng.gaussian((b, *lam_shape), mean=delta, std=np.sqrt(delta))
+    else:
+        lam = gaussian_rows(rng, lam_shape, delta, np.sqrt(delta))
     z = add(e_seq, mul(Tensor(lam), u))
     if mask is not None:
         z = mul(z, Tensor(mask.reshape(b, n, 1).astype(z.data.dtype)))
@@ -209,6 +204,9 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
 
     Padded steps carry the previous hidden state through unchanged, so with
     right padding the final state equals the state at the last valid item.
+    In eval mode a batch of B > 1 rows runs as (B, 1, dim) states, so every
+    product is one vector-matrix product per row, as it is for B = 1: a
+    row's bytes then do not depend on its batch.
     """
     b, n, dim = z_seq.shape
     mask = _check_mask(padding_mask, b, n)
@@ -216,9 +214,12 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         raise ValueError("train_mode forward requires an rng for dropout")
     g = params.gates
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
-    h = Tensor(np.zeros((b, dim)))
+    rows = (b, 1, dim) if b > 1 and not train_mode else (b, dim)
+    h = Tensor(np.zeros(rows))
     for i in range(n):
         x = gather_rows(z_seq, np.full(b, i))
+        if len(rows) == 3:
+            x = reshape(x, rows)
         r = sigmoid(add(add(matmul(x, g["wi_r"]), g["bi_r"]),
                         add(matmul(h, g["wh_r"]), g["bh_r"])))
         u = sigmoid(add(add(matmul(x, g["wi_z"]), g["bi_z"]),
@@ -226,9 +227,9 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         cand = tanh(add(add(matmul(x, g["wi_n"]), g["bi_n"]),
                         mul(r, add(matmul(h, g["wh_n"]), g["bh_n"]))))
         h_new = add(cand, mul(u, add(h, -cand)))
-        step_mask = Tensor(mask[:, i : i + 1])
-        h = add(mul(h_new, step_mask), mul(h, Tensor(1.0 - mask[:, i : i + 1])))
-    return h
+        keep = mask[:, i].reshape(*rows[:-1], 1)
+        h = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
+    return h if len(rows) == 2 else reshape(h, (b, dim))
 
 
 class Approximator:
@@ -249,7 +250,7 @@ class Approximator:
         return transformer_forward(z_seq, mask, self.params, self.cfg, train_mode, rng)
 
     def reconstruct(self, hist: np.ndarray, mask: np.ndarray, x, steps,
-                    rng: RngStream, train_mode: bool) -> Tensor:
+                    rng: RngStream | list[RngStream], train_mode: bool) -> Tensor:
         """Full estimate: embed history, lambda-mix with (x + step encoding), encode."""
         e_seq = embedding_lookup(self.params.item_emb, hist)
         d = step_embedding_batch(steps, self.cfg.dim)

@@ -48,3 +48,12 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, key={self._key})"
+
+
+def gaussian_rows(streams, row_shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    """One (1, *row_shape) draw from each stream, stacked in stream order.
+
+    Row i equals `streams[i].gaussian((1, *row_shape), mean, std)`, so a
+    row's values do not depend on the other streams in the batch.
+    """
+    return np.concatenate([s.gaussian((1, *row_shape), mean, std) for s in streams])

@@ -116,3 +116,16 @@ def test_baseline_command(synth_dir, capsys):
 def test_infer_rejects_malformed_sequence(trained_ckpt):
     with pytest.raises(SystemExit):
         main(["infer", "--ckpt", str(trained_ckpt), "--sequence", "a,b"])
+
+
+@pytest.mark.parametrize("command", ["infer", "probe"])
+def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt,
+                                                           command, capsys):
+    argv = [command, "--ckpt", str(trained_ckpt), "--sequence", "1,999"]
+    if command == "probe":
+        argv += ["--out", str(tmp_path / "probe.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "999" in captured.err
