@@ -30,7 +30,7 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Magic bytes or container structure are wrong."""
+    """Magic bytes, container structure or tensor values are wrong."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -136,6 +136,10 @@ def load_checkpoint(path) -> ModelCheckpoint:
             count = int(np.prod(dims, dtype=np.int64)) if dims else 1
             payload = _read_exact(fh, 8 * count, f"data of {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+            if not np.all(np.isfinite(tensors[name])):
+                raise CheckpointFormatError(f"tensor {name!r} holds non-finite values")
+        if fh.read(1):
+            raise CheckpointFormatError("trailing bytes after the last tensor")
     try:
         cfg = config_from_dict(meta["config"])
         vocab_size = int(meta["vocab_size"])

@@ -10,12 +10,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
 from .data import ingest, load_processed, preprocess, save_processed, split, synth
 from .evaluate import (PopularityScorer, evaluate, head_tail_report,
                        length_bucket_report, rank_records, uncertainty_probe)
-from .infer import HistoryError, build_scorer, rank_items
+from .infer import build_scorer, rank_items
 from .metrics import report_csv_rows, report_from_ranks, report_table
 from .rng import RngStream
 from .schedule import build_schedule, dump_schedule_csv
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HistoryError as exc:
+    except (ValueError, CheckpointError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -230,7 +230,6 @@ def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:
     dominant = rng.integers(1, n_items + 1, size=n_items)
     mat = np.full((n_items, n_items), 0.2 / (n_items - 1))
     for i in range(n_items):
-        mat[i, :] = 0.2 / (n_items - 1)
         mat[i, dominant[i] - 1] = 0.8
     return mat
 

@@ -13,7 +13,7 @@ from .rng import RngStream
 from .schedule import NoiseSchedule, posterior
 from .tensor import Tensor, add, mul, scale
 
-__all__ = ["embed_to_x0", "q_sample", "reverse_step", "sample_step", "sample_steps"]
+__all__ = ["embed_to_x0", "q_sample", "reverse_step", "sample_steps"]
 
 
 def embed_to_x0(e_target: Tensor, schedule: NoiseSchedule, rng: RngStream,
@@ -73,13 +73,8 @@ def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
     return post.coef_x0 * x0_hat + post.coef_xs * x_s + noise_coef * eps_prime
 
 
-def sample_step(t: int, rng: RngStream) -> int:
-    """Uniform step index in [1, t]."""
-    return int(sample_steps(t, None, rng))
-
-
-def sample_steps(t: int, size: int, rng: RngStream) -> np.ndarray:
-    """Batch of uniform step indices in [1, t]."""
+def sample_steps(t: int, size: int | None, rng: RngStream):
+    """Uniform step indices in [1, t]: an array of `size`, or one value if None."""
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
     return rng.integers(1, t + 1, size=size)

@@ -120,18 +120,13 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
     return probe, vectors
 
 
-def popularity_baseline(train_freqs: np.ndarray) -> list[int]:
-    """Static ranking by descending training frequency, ties to lower index."""
-    if train_freqs[1:].sum() == 0:
-        raise ValueError("no training interactions to rank by")
-    return rank_items(train_freqs).tolist()
-
-
 class PopularityScorer(Scorer):
     """Scores items by training frequency (its representation); ignores the history."""
 
     def __init__(self, train_freqs: np.ndarray):
         self.freqs = np.asarray(train_freqs, dtype=float)
+        if self.freqs[1:].sum() == 0:
+            raise ValueError("no training interactions to rank by")
         self.n_items = len(self.freqs) - 1
 
     def represent(self, history, rng: RngStream | None = None) -> np.ndarray:

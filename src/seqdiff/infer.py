@@ -18,7 +18,7 @@ from .checkpoint import ModelCheckpoint, model_from_checkpoint
 from .diffusion import reverse_step
 from .model import Approximator
 from .rng import RngStream, gaussian_rows
-from .schedule import NoiseSchedule, build_schedule
+from .schedule import build_schedule
 from .tensor import Tensor
 
 ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
@@ -108,14 +108,11 @@ class DiffusionScorer(_EmbeddingScorer):
     (inside the approximator) and its (1, dim) posterior noise.
     """
 
-    def __init__(self, model: Approximator, steps: int | None = None,
-                 schedule: NoiseSchedule | None = None):
+    def __init__(self, model: Approximator, steps: int | None = None):
         super().__init__(model)
         cfg = model.cfg
         self.steps = cfg.t if steps is None else int(steps)
-        if schedule is not None and schedule.t != self.steps:
-            raise ValueError(f"schedule horizon {schedule.t} != steps {self.steps}")
-        self.schedule = schedule or build_schedule(
+        self.schedule = build_schedule(
             cfg.schedule_kind, self.steps, cfg.schedule_a, cfg.schedule_b,
             cfg.schedule_tau, cfg.schedule_b_constant)
 

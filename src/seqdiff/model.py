@@ -26,11 +26,6 @@ from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows,
 _NEG_INF = -1e9
 
 
-def step_embedding(s: int, dim: int) -> np.ndarray:
-    """Sinusoidal encoding of one diffusion/reverse step index."""
-    return step_embedding_batch([s], dim)[0]
-
-
 def step_embedding_batch(steps, dim: int) -> np.ndarray:
     """(B,) step indices -> (B, dim): out[:, 2i] = sin(s / 10000^(2i/dim)),
     out[:, 2i+1] = cos of the same angle."""
@@ -204,9 +199,9 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
 
     Padded steps carry the previous hidden state through unchanged, so with
     right padding the final state equals the state at the last valid item.
-    In eval mode a batch of B > 1 rows runs as (B, 1, dim) states, so every
-    product is one vector-matrix product per row, as it is for B = 1: a
-    row's bytes then do not depend on its batch.
+    In eval mode every row runs as a (1, dim) state, so every product is one
+    vector-matrix product per row: a row's bytes then do not depend on its
+    batch. Training runs the whole batch as one (B, dim) state.
     """
     b, n, dim = z_seq.shape
     mask = _check_mask(padding_mask, b, n)
@@ -214,12 +209,12 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         raise ValueError("train_mode forward requires an rng for dropout")
     g = params.gates
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
-    rows = (b, 1, dim) if b > 1 and not train_mode else (b, dim)
+    rows = (b, dim) if train_mode else (b, 1, dim)
+    if not train_mode:
+        z_seq = reshape(z_seq, (b, n, 1, dim))
     h = Tensor(np.zeros(rows))
     for i in range(n):
         x = gather_rows(z_seq, np.full(b, i))
-        if len(rows) == 3:
-            x = reshape(x, rows)
         r = sigmoid(add(add(matmul(x, g["wi_r"]), g["bi_r"]),
                         add(matmul(h, g["wh_r"]), g["bh_r"])))
         u = sigmoid(add(add(matmul(x, g["wi_z"]), g["bi_z"]),
@@ -229,7 +224,7 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         h_new = add(cand, mul(u, add(h, -cand)))
         keep = mask[:, i].reshape(*rows[:-1], 1)
         h = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
-    return h if len(rows) == 2 else reshape(h, (b, dim))
+    return h if train_mode else reshape(h, (b, dim))
 
 
 class Approximator:

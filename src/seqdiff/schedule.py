@@ -46,8 +46,6 @@ class NoiseSchedule:
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
 
-    alpha_bar_0: float = 1.0
-
     @property
     def alpha_0(self) -> float:
         """Signal fraction for the one-step corruption of the clean embedding."""
@@ -107,7 +105,7 @@ def alpha_bar(schedule: NoiseSchedule, s: int) -> float:
     if not 0 <= s <= schedule.t:
         raise ValueError(f"step {s} out of range [0, {schedule.t}]")
     if s == 0:
-        return schedule.alpha_bar_0
+        return 1.0
     return float(schedule.alpha_bars[s - 1])
 
 

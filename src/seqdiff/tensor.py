@@ -67,9 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -108,9 +105,9 @@ def _as_tensor(x) -> Tensor:
 class Tape:
     """Ordered log of executed primitive ops and their saved intermediates.
 
-    Single-owner: one tape per forward/backward pass. `clear()` (called by
-    `backward` unless told otherwise, and by `__exit__`) drops every node,
-    releasing the arrays the closures captured.
+    Single-owner: one tape per forward/backward pass. `clear()`, which
+    `backward` calls when it is done, drops every node, releasing the
+    arrays the closures captured.
     """
 
     def __init__(self):
@@ -139,12 +136,12 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
     _TAPE_STACK[-1]._nodes.append((out, inputs, backward_fn))
 
 
-def backward(tape: Tape, loss: Tensor, clear: bool = True) -> None:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Populate `.grad` of every tracked tensor reachable from `loss`.
 
     Walks the tape in reverse recording order (a reverse topological order,
-    each node visited exactly once). Gradients accumulate across calls;
-    use `zero_grad` between steps.
+    each node visited exactly once), then clears the tape. Gradients
+    accumulate across calls; `Adam.zero_grad` resets them between steps.
     """
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -168,8 +165,7 @@ def backward(tape: Tape, loss: Tensor, clear: bool = True) -> None:
         t = holders[key]
         if t.requires_grad:
             t.grad = g.copy() if t.grad is None else t.grad + g
-    if clear:
-        tape.clear()
+    tape.clear()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -371,7 +367,7 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
-    """Pick x[b, positions[b], :] for each batch row b: (B,n,D) -> (B,D)."""
+    """Pick x[b, positions[b]] for each batch row b: (B,n,...) -> (B,...)."""
     pos = np.asarray(positions)
     b_idx = np.arange(x.shape[0])
     out = Tensor(x.data[b_idx, pos])
@@ -397,29 +393,6 @@ def dropout(x: Tensor, p: float, rng: RngStream, train: bool) -> Tensor:
     out = Tensor(x.data * mask)
     if _tracked(x):
         _record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
-def cross_entropy_logits(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-d logit vector."""
-    if logits.ndim != 1:
-        raise ShapeMismatchError(f"expected 1-d logits, got shape {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= target_index < n:
-        raise ValueError(f"target index {target_index} out of range [0, {n})")
-    m = logits.data.max()
-    e = np.exp(logits.data - m)
-    lse = m + np.log(e.sum())
-    out = Tensor(lse - logits.data[target_index])
-    if _tracked(logits):
-        p = e / e.sum()
-
-        def bwd(g):
-            gl = p.copy()
-            gl[target_index] -= 1.0
-            return (gl * g,)
-
-        _record(out, (logits,), bwd)
     return out
 
 
@@ -459,9 +432,3 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
 
         _record(out, (logits,), bwd)
     return out
-
-
-def sample_gaussian(rng: RngStream, shape, mean: float = 0.0,
-                    std: float = 1.0) -> Tensor:
-    """Untracked tensor of i.i.d. normal draws; deterministic given the stream."""
-    return Tensor(rng.gaussian(shape, mean, std))

@@ -143,25 +143,31 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
                        epochs_run=epochs_run)
 
 
+def _setup(dataset: SequenceDataset, cfg: TrainConfig, rng: RngStream | None,
+           mode: str):
+    """Checks shared by both modes, then the splits, a fresh model, its Adam,
+    and the training and validation streams derived from the root seed."""
+    cfg.validate()
+    if cfg.mode != mode:
+        raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
+    if not dataset.sequences:
+        raise ValueError("dataset is empty")
+    root = rng or RngStream(cfg.seed)
+    model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
+    adam = Adam([t for _, t in model.params.named()], lr=cfg.learning_rate)
+    return split(dataset), model, adam, root.derive(1), root.derive(2)
+
+
 def train(dataset: SequenceDataset, cfg: TrainConfig,
           rng: RngStream | None = None, log_fn=None) -> TrainResult:
     """Fit the diffusion recommender: per batch, sample a step, corrupt the
     target embedding to that step, reconstruct it from the mixed history,
     and minimize full-vocabulary cross entropy with Adam."""
-    cfg.validate()
-    if cfg.mode != "diffusion":
-        raise ValueError(f"train() handles mode 'diffusion', got {cfg.mode!r}")
-    if not dataset.sequences:
-        raise ValueError("dataset is empty")
-    splits = split(dataset)
-    root = rng or RngStream(cfg.seed)
-    params = init_params(dataset.n_items, cfg, root.derive(0))
-    model = Approximator(params, cfg)
-    adam = Adam([t for _, t in params.named()], lr=cfg.learning_rate)
+    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, rng, "diffusion")
+    params = model.params
     schedule = build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a,
                               cfg.schedule_b, cfg.schedule_tau,
                               cfg.schedule_b_constant)
-    train_rng = root.derive(1)
 
     def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
         steps = sample_steps(cfg.t, len(targets), train_rng)
@@ -180,8 +186,8 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
         adam.zero_grad()
         return StepLog(epoch=epoch, batch=bi, loss=loss_val)
 
-    return _fit(splits, cfg, model, train_rng, root.derive(2), batch_step,
-                lambda: DiffusionScorer(model, cfg.t, schedule), log_fn)
+    return _fit(splits, cfg, model, train_rng, val_rng, batch_step,
+                lambda: DiffusionScorer(model), log_fn)
 
 
 def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
@@ -194,18 +200,8 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
     a batch reuse the same dropout masks, so epsilon=0 makes the perturbed
     pass bit-identical to the base pass.
     """
-    cfg.validate()
-    if cfg.mode != "adversarial":
-        raise ValueError(
-            f"adversarial_train() handles mode 'adversarial', got {cfg.mode!r}")
-    if not dataset.sequences:
-        raise ValueError("dataset is empty")
-    splits = split(dataset)
-    root = rng or RngStream(cfg.seed)
-    params = init_params(dataset.n_items, cfg, root.derive(0))
-    model = Approximator(params, cfg)
-    adam = Adam([t for _, t in params.named()], lr=cfg.learning_rate)
-    train_rng = root.derive(1)
+    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, rng, "adversarial")
+    params = model.params
     delta = np.zeros_like(params.item_emb.data)
 
     def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
@@ -238,7 +234,7 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
                        base_loss=base_val,
                        delta_norm=float(np.linalg.norm(delta)))
 
-    return _fit(splits, cfg, model, train_rng, root.derive(2), batch_step,
+    return _fit(splits, cfg, model, train_rng, val_rng, batch_step,
                 lambda: NextItemScorer(model), log_fn)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from seqdiff.cli import main
-from seqdiff.checkpoint import load_checkpoint
+from seqdiff.checkpoint import load_checkpoint, save_checkpoint
 from seqdiff.config import format_config
 from conftest import desk_config
 
@@ -129,3 +129,24 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "999" in captured.err
+
+
+@pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt"])
+def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, capsys):
+    ckpt_path = tmp_path / "bad.ckpt"
+    if fault == "truncated-ckpt":
+        ckpt_path.write_bytes(trained_ckpt.read_bytes()[:-50])
+    elif fault == "nan-ckpt":
+        ckpt = load_checkpoint(trained_ckpt)
+        ckpt.tensors["item_emb"][1, 0] = float("nan")
+        save_checkpoint(ckpt, ckpt_path)
+    else:
+        ckpt_path = trained_ckpt
+    argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
+    if fault == "steps-0":
+        argv += ["--steps", "0"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("seqdiff infer: ")

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from seqdiff.diffusion import (embed_to_x0, q_sample, reverse_step,
-                               sample_step, sample_steps)
+from seqdiff.diffusion import embed_to_x0, q_sample, reverse_step, sample_steps
 from seqdiff.rng import RngStream
 from seqdiff.schedule import NoiseSchedule, build_schedule
 from seqdiff.tensor import Tape, Tensor, backward, sum_all
@@ -170,9 +169,9 @@ def test_signal_to_noise_decreases(default_schedule):
 
 
 def test_sample_step_bounds_and_determinism():
-    assert sample_step(1, RngStream(0)) == 1
-    a = [sample_step(32, RngStream(5)) for _ in range(3)]
-    b = [sample_step(32, RngStream(5)) for _ in range(3)]
+    assert sample_steps(1, None, RngStream(0)) == 1
+    a = [sample_steps(32, None, RngStream(5)) for _ in range(3)]
+    b = [sample_steps(32, None, RngStream(5)) for _ in range(3)]
     assert a == b
     draws = sample_steps(32, 1000, RngStream(8))
     assert draws.min() >= 1 and draws.max() <= 32
@@ -190,4 +189,4 @@ def test_sample_step_frequencies_roughly_uniform():
 
 def test_sample_step_rejects_bad_horizon():
     with pytest.raises(ValueError):
-        sample_step(0, RngStream(0))
+        sample_steps(0, None, RngStream(0))

@@ -5,9 +5,9 @@ from conftest import desk_config
 from seqdiff.data import Sample, split, synth
 from seqdiff.evaluate import (PopularityScorer, RankRecord, evaluate,
                               head_items, head_tail_report,
-                              length_bucket_report, popularity_baseline,
-                              rank_records, target_rank, uncertainty_probe)
-from seqdiff.infer import DiffusionScorer, Scorer
+                              length_bucket_report, rank_records, target_rank,
+                              uncertainty_probe)
+from seqdiff.infer import DiffusionScorer, Scorer, infer, rank_items
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
 
@@ -170,9 +170,11 @@ def test_uncertainty_probe_monotone_in_reversals():
 
 def test_popularity_baseline_ordering_and_ties():
     freqs = np.array([0.0, 3, 1, 2])
-    assert popularity_baseline(freqs) == [1, 3, 2]
+    assert infer(PopularityScorer(freqs), [1], RngStream(0)) == [1, 3, 2]
     tied = np.array([0.0, 2, 2, 1])
-    assert popularity_baseline(tied) == [1, 2, 3]
+    assert infer(PopularityScorer(tied), [1], RngStream(0)) == [1, 2, 3]
+    with pytest.raises(ValueError, match="no training interactions"):
+        PopularityScorer(np.zeros(4))
 
 
 def test_popularity_scorer_hr_equals_topk_coverage():
@@ -180,6 +182,6 @@ def test_popularity_scorer_hr_equals_topk_coverage():
     splits = split(ds)
     scorer = PopularityScorer(splits.train_freqs)
     rep = evaluate(scorer, splits.test, seed=0, ks=(10,))
-    top10 = set(popularity_baseline(splits.train_freqs)[:10])
+    top10 = set(rank_items(splits.train_freqs)[:10].tolist())
     expected = np.mean([s.target in top10 for s in splits.test])
     assert rep.hr[10] == pytest.approx(expected)

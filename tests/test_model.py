@@ -5,8 +5,7 @@ import pytest
 
 from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.model import (Approximator, GruParams, TransformerParams,
-                           init_params, mix, step_embedding,
-                           step_embedding_batch)
+                           init_params, mix, step_embedding_batch)
 from seqdiff.rng import RngStream
 from seqdiff.tensor import Tape, Tensor, backward, mul, sum_all
 
@@ -18,12 +17,12 @@ def tiny_config(**overrides):
 
 
 def test_step_embedding_zero_step_alternates():
-    d = step_embedding(0, 8)
+    d = step_embedding_batch([0], 8)[0]
     assert np.array_equal(d, [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_step_embedding_hand_values():
-    d = step_embedding(1, 2)
+    d = step_embedding_batch([1], 2)[0]
     assert d[0] == pytest.approx(math.sin(1.0), abs=1e-12)
     assert d[1] == pytest.approx(math.cos(1.0), abs=1e-12)
     assert np.allclose(d, [0.84147, 0.54030], atol=1e-5)
@@ -39,7 +38,7 @@ def test_step_embedding_bounded_and_distinct():
 
 def test_step_embedding_requires_even_dim():
     with pytest.raises(ValueError):
-        step_embedding(3, 7)
+        step_embedding_batch([3], 7)
 
 
 def test_mix_delta_zero_returns_embeddings_exactly():

@@ -197,6 +197,23 @@ def test_checkpoint_shape_table_inconsistency(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_small_checkpoint(), path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(CheckpointFormatError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_nonfinite_tensor_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt = _small_checkpoint()
+    ckpt.tensors["item_emb"][2, 1] = np.nan
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointFormatError, match="item_emb"):
+        load_checkpoint(path)
+
+
 def test_model_from_checkpoint_restores_parameters(tmp_path):
     ckpt = _small_checkpoint()
     model = model_from_checkpoint(ckpt)

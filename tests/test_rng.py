@@ -41,6 +41,11 @@ def test_gaussian_negative_std_rejected():
         RngStream(0).gaussian((3,), 0.0, -0.1)
 
 
+def test_gaussian_std_zero_is_constant():
+    out = RngStream(0).gaussian((5,), mean=2.5, std=0.0)
+    assert np.array_equal(out, np.full(5, 2.5))
+
+
 def test_uniform_and_permutation_ranges():
     rng = RngStream(11)
     u = rng.uniform((1000,))

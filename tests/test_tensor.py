@@ -7,10 +7,10 @@ import pytest
 
 from seqdiff.rng import RngStream
 from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
-                            cross_entropy_logits, cross_entropy_rows, dropout,
-                            embedding_lookup, gather_rows, layer_norm, matmul,
-                            mean_all, mul, relu, reshape, sample_gaussian,
-                            sigmoid, softmax, sum_all, tanh, transpose)
+                            cross_entropy_rows, dropout, embedding_lookup,
+                            gather_rows, layer_norm, matmul, mean_all, mul,
+                            relu, reshape, sigmoid, softmax, sum_all, tanh,
+                            transpose)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -85,18 +85,18 @@ def test_layer_norm_shape_check():
 
 
 def test_cross_entropy_uniform_logits():
-    loss = cross_entropy_logits(Tensor(np.zeros(100)), 7)
+    loss = cross_entropy_rows(Tensor(np.zeros((1, 100))), np.array([7]))
     assert loss.item() == pytest.approx(math.log(100), abs=1e-12)
 
 
 def test_cross_entropy_hand_case():
-    loss = cross_entropy_logits(Tensor([10.0, 0.0]), 0)
+    loss = cross_entropy_rows(Tensor([[10.0, 0.0]]), np.array([0]))
     assert loss.item() == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-12)
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(ValueError):
-        cross_entropy_logits(Tensor([1.0, 2.0, 3.0]), 5)
+        cross_entropy_rows(Tensor([[1.0, 2.0, 3.0]]), np.array([5]))
 
 
 def test_cross_entropy_rows_ignored_column_gets_no_probability():
@@ -285,22 +285,17 @@ def test_cross_entropy_rows_gradient_matches_finite_differences():
 
 def test_sample_gaussian_requires_nonnegative_std():
     with pytest.raises(ValueError):
-        sample_gaussian(RngStream(0), (3,), 0.0, -1.0)
-
-
-def test_sample_gaussian_std_zero_is_constant():
-    out = sample_gaussian(RngStream(0), (5,), mean=2.5, std=0.0)
-    assert np.array_equal(out.data, np.full(5, 2.5))
+        Tensor(RngStream(0).gaussian((3,), 0.0, -1.0))
 
 
 def test_sample_gaussian_deterministic_per_seed():
-    a = sample_gaussian(RngStream(99), (4, 4))
-    b = sample_gaussian(RngStream(99), (4, 4))
+    a = Tensor(RngStream(99).gaussian((4, 4)))
+    b = Tensor(RngStream(99).gaussian((4, 4)))
     assert np.array_equal(a.data, b.data)
 
 
 def test_sample_gaussian_monte_carlo_moments():
-    out = sample_gaussian(RngStream(7), (100_000,))
+    out = Tensor(RngStream(7).gaussian((100_000,)))
     assert -0.02 < out.data.mean() < 0.02
     assert 0.99 < out.data.std() < 1.01
 
