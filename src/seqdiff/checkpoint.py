@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import TrainConfig, config_from_dict, config_to_dict
-from .model import Approximator, GruParams, TransformerParams
+from .config import TrainConfig, config_from_dict
+from .model import Approximator, init_params
+from .rng import RngStream
 
 MAGIC = b"SEQDIF01"
 FORMAT_VERSION = 1
@@ -62,11 +63,8 @@ def checkpoint_from_params(params, cfg: TrainConfig, vocab_size: int,
 
 def model_from_checkpoint(ckpt: ModelCheckpoint) -> Approximator:
     """Rebuild an Approximator whose parameters are the checkpoint tensors."""
-    from .rng import RngStream
-
     cfg = ckpt.config
-    cls = GruParams if cfg.approximator == "gru" else TransformerParams
-    params = cls(ckpt.vocab_size, cfg, RngStream(0))
+    params = init_params(ckpt.vocab_size, cfg, RngStream(0))
     for name, tensor in params.named():
         if name not in ckpt.tensors:
             raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
@@ -80,7 +78,7 @@ def model_from_checkpoint(ckpt: ModelCheckpoint) -> Approximator:
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     meta = json.dumps({
-        "config": config_to_dict(ckpt.config),
+        "config": asdict(ckpt.config),
         "vocab_size": ckpt.vocab_size,
         "epoch": ckpt.epoch,
     }).encode()

@@ -53,7 +53,6 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else TrainConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    cfg.validate()
     result = run_training(dataset, cfg, log_fn=print)
     save_checkpoint(result.checkpoint, args.out)
     print(f"saved checkpoint (epoch {result.checkpoint.epoch}) to {args.out}")
@@ -64,9 +63,9 @@ def _parse_sequence(text: str) -> list[int]:
     try:
         items = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise SystemExit(f"cannot parse item sequence {text!r}") from None
+        raise ValueError(f"cannot parse item sequence {text!r}") from None
     if not items:
-        raise SystemExit("item sequence is empty")
+        raise ValueError("item sequence is empty")
     return items
 
 
@@ -135,6 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seqdiff",
         description="Diffusion-based sequential recommender toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    scoring = argparse.ArgumentParser(add_help=False)  # shared by infer, eval, probe
+    scoring.add_argument("--ckpt", required=True)
+    scoring.add_argument("--steps", type=int, default=None)
+    scoring.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("preprocess", help="filter and index raw interactions")
     p.add_argument("--in", dest="infile", required=True)
@@ -172,20 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("infer", help="rank items for one history")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("infer", parents=[scoring], help="rank items for one history")
     p.add_argument("--sequence", required=True, help='comma-separated, e.g. "3,17,5"')
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topk", type=int, default=10)
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("eval", help="full-ranking evaluation of a checkpoint")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("eval", parents=[scoring],
+                       help="full-ranking evaluation of a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--head-tail", action="store_true")
     p.add_argument("--length-buckets", action="store_true")
     p.add_argument("--mask-history", action="store_true",
@@ -193,13 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV report path")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("probe", help="uncertainty probe: repeated reversals")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("probe", parents=[scoring], help="uncertainty probe: repeated reversals")
     p.add_argument("--sequence", required=True)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--topk", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV of reversed vectors")
     p.set_defaults(func=_cmd_probe)
 
@@ -215,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CheckpointError) as exc:
+    except (ValueError, OSError, CheckpointError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -120,10 +120,6 @@ def format_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_from_dict(d: dict) -> TrainConfig:
     unknown = set(d) - set(_FIELDS)
     if unknown:

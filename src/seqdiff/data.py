@@ -41,7 +41,6 @@ class SequenceDataset:
     sequences: list[list[int]]
     user_ids: list[str]
     item_ids: list[str]  # position v holds the original id of index v+1
-    max_len: int
     n_actions: int = 0  # surviving interactions before truncation
 
     @property
@@ -109,6 +108,8 @@ def preprocess(records: list[InteractionRecord], min_count: int = 5,
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     kept = list(records)
     while True:
         item_counts = Counter(r.item for r in kept)
@@ -144,7 +145,7 @@ def preprocess(records: list[InteractionRecord], min_count: int = 5,
         sequences.append(seq)
         user_ids.append(user)
     return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, max_len=max_len, n_actions=n_actions)
+                           item_ids=item_ids, n_actions=n_actions)
 
 
 def split(dataset: SequenceDataset) -> DatasetSplits:
@@ -221,7 +222,7 @@ def synth(kind: str, n_users: int, n_items: int, seq_len: int,
     item_ids = [str(i) for i in range(1, n_items + 1)]
     n_actions = sum(len(s) for s in sequences)
     return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, max_len=seq_len, n_actions=n_actions)
+                           item_ids=item_ids, n_actions=n_actions)
 
 
 def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:
@@ -247,6 +248,14 @@ def save_processed(dataset: SequenceDataset, out_dir) -> None:
             fh.write(f"{idx}\t{item}\n")
 
 
+def _index(token: str, path, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DataFormatError(
+            f"{path}: line {lineno}: item index {token!r} is not an integer") from None
+
+
 def load_processed(data_dir) -> SequenceDataset:
     base = Path(data_dir)
     seq_path = base / "sequences.txt"
@@ -256,24 +265,23 @@ def load_processed(data_dir) -> SequenceDataset:
             f"{data_dir} must contain sequences.txt and vocab.tsv")
     sequences = []
     with open(seq_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                sequences.append([int(tok) for tok in line.split()])
+                sequences.append([_index(tok, seq_path, lineno) for tok in line.split()])
     item_ids = []
     with open(vocab_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             idx_str, _, item = line.rstrip("\n").partition("\t")
-            if int(idx_str) != lineno:
+            if _index(idx_str, vocab_path, lineno) != lineno:
                 raise DataFormatError(f"{vocab_path}: non-contiguous index at line {lineno}")
             item_ids.append(item)
     n_items = len(item_ids)
     for seq in sequences:
         if any(i < 1 or i > n_items for i in seq):
             raise DataFormatError(f"{seq_path}: item index outside [1, {n_items}]")
-    max_len = max((len(s) for s in sequences), default=0)
     user_ids = [f"u{i}" for i in range(len(sequences))]
     n_actions = sum(len(s) for s in sequences)
     return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, max_len=max_len, n_actions=n_actions)
+                           item_ids=item_ids, n_actions=n_actions)

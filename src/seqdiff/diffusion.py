@@ -16,24 +16,18 @@ from .tensor import Tensor, add, mul, scale
 __all__ = ["embed_to_x0", "q_sample", "reverse_step", "sample_steps"]
 
 
-def embed_to_x0(e_target: Tensor, schedule: NoiseSchedule, rng: RngStream,
-                alpha0: float | None = None) -> Tensor:
+def embed_to_x0(e_target: Tensor, schedule: NoiseSchedule, rng: RngStream) -> Tensor:
     """One-step corruption of the target embedding into the chain's x_0.
 
-    x_0 = sqrt(alpha_0) * e + sqrt(1 - alpha_0) * eps with the default
-    alpha_0 = 1 - beta_1 taken from the schedule. alpha_0 = 1 returns the
-    embedding untouched.
+    x_0 = sqrt(alpha_0) * e + sqrt(1 - alpha_0) * eps with alpha_0 = 1 - beta_1
+    taken from the schedule.
     """
-    a0 = schedule.alpha_0 if alpha0 is None else float(alpha0)
-    if not 0.0 < a0 <= 1.0:
-        raise ValueError(f"alpha_0 must be in (0, 1], got {a0}")
-    if a0 == 1.0:
-        return e_target
+    a0 = schedule.alpha_0
     eps = rng.gaussian(e_target.shape)
     return add(scale(e_target, np.sqrt(a0)), Tensor(np.sqrt(1.0 - a0) * eps))
 
 
-def q_sample(x_0: Tensor, s, schedule: NoiseSchedule, eps) -> Tensor:
+def q_sample(x_0: Tensor, s, schedule: NoiseSchedule, eps: np.ndarray) -> Tensor:
     """Closed-form jump to step s: x_s = sqrt(ab_s) x_0 + sqrt(1-ab_s) eps.
 
     `s` may be a scalar step or a per-row integer array for batched
@@ -42,14 +36,13 @@ def q_sample(x_0: Tensor, s, schedule: NoiseSchedule, eps) -> Tensor:
     s_arr = np.asarray(s)
     if s_arr.size and (s_arr.min() < 1 or s_arr.max() > schedule.t):
         raise ValueError(f"step {s} out of range [1, {schedule.t}]")
-    eps_data = eps.data if isinstance(eps, Tensor) else np.asarray(eps)
-    if eps_data.shape != x_0.shape:
-        raise ValueError(f"eps shape {eps_data.shape} != x_0 shape {x_0.shape}")
+    if eps.shape != x_0.shape:
+        raise ValueError(f"eps shape {eps.shape} != x_0 shape {x_0.shape}")
     ab = schedule.alpha_bars[s_arr - 1]
     if s_arr.ndim == 1:
         ab = ab[:, None]
     signal = mul(x_0, Tensor(np.broadcast_to(np.sqrt(ab), x_0.shape).copy()))
-    return add(signal, Tensor(np.sqrt(1.0 - ab) * eps_data))
+    return add(signal, Tensor(np.sqrt(1.0 - ab) * eps))
 
 
 def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
@@ -61,14 +54,11 @@ def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
     `noise_sqrt=True` for the sqrt(beta_tilde) convention instead. At s=1
     the posterior degenerates and x0_hat is returned as-is.
     """
-    x_s = x_s.data if isinstance(x_s, Tensor) else np.asarray(x_s)
-    x0_hat = x0_hat.data if isinstance(x0_hat, Tensor) else np.asarray(x0_hat)
     if x_s.shape != x0_hat.shape:
         raise ValueError(f"shape mismatch: x_s {x_s.shape} vs x0_hat {x0_hat.shape}")
     post = posterior(schedule, s)  # validates the step range
     if s == 1:
         return x0_hat.copy()
-    eps_prime = eps_prime.data if isinstance(eps_prime, Tensor) else np.asarray(eps_prime)
     noise_coef = np.sqrt(post.beta_tilde) if noise_sqrt else post.beta_tilde
     return post.coef_x0 * x0_hat + post.coef_xs * x_s + noise_coef * eps_prime
 

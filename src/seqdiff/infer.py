@@ -19,7 +19,6 @@ from .diffusion import reverse_step
 from .model import Approximator
 from .rng import RngStream, gaussian_rows
 from .schedule import build_schedule
-from .tensor import Tensor
 
 ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
 
@@ -33,17 +32,14 @@ def rank_items(scores) -> np.ndarray:
     return np.argsort(-np.asarray(scores)[1:], kind="stable") + 1
 
 
-def rounding(x_0, item_embeddings) -> list[int]:
+def rounding(x_0: np.ndarray, item_embeddings: np.ndarray) -> list[int]:
     """Rank every item by descending inner product with x_0.
 
     The padding row is excluded; ties break toward the smaller item index.
     """
-    vec = x_0.data if isinstance(x_0, Tensor) else np.asarray(x_0)
-    table = item_embeddings.data if isinstance(item_embeddings, Tensor) \
-        else np.asarray(item_embeddings)
-    if not np.all(np.isfinite(vec)):
+    if not np.all(np.isfinite(x_0)):
         raise ValueError("x_0 must be finite")
-    return rank_items(table @ vec.reshape(-1)).tolist()
+    return rank_items(item_embeddings @ x_0.reshape(-1)).tolist()
 
 
 class Scorer:

@@ -15,13 +15,15 @@ positional embeddings keep the encoder order-aware.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows,
-                     layer_norm, matmul, mul, relu, reshape, sigmoid, softmax,
-                     tanh, transpose)
+                     layer_norm, matmul, mul, neg, relu, reshape, scale, sigmoid,
+                     softmax, tanh, transpose)
 
 _NEG_INF = -1e9
 
@@ -175,7 +177,7 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
         q = _split_heads(matmul(h, blk["wq"]), b, n, heads, dh)
         k = _split_heads(matmul(h, blk["wk"]), b, n, heads, dh)
         v = _split_heads(matmul(h, blk["wv"]), b, n, heads, dh)
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         probs = softmax(add(scores, key_bias), axis=-1)
         probs = dropout(probs, cfg.dropout_block, rng, train_mode)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
@@ -221,7 +223,7 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
                         add(matmul(h, g["wh_z"]), g["bh_z"])))
         cand = tanh(add(add(matmul(x, g["wi_n"]), g["bi_n"]),
                         mul(r, add(matmul(h, g["wh_n"]), g["bh_n"]))))
-        h_new = add(cand, mul(u, add(h, -cand)))
+        h_new = add(cand, mul(u, add(h, neg(cand))))
         keep = mask[:, i].reshape(*rows[:-1], 1)
         h = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
     return h if train_mode else reshape(h, (b, dim))

@@ -39,9 +39,6 @@ class ScheduleValidityError(ValueError):
 class NoiseSchedule:
     kind: str
     t: int
-    a: float
-    b: float
-    tau: float
     betas: np.ndarray = field(repr=False)
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
@@ -96,8 +93,8 @@ def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
         raise ScheduleValidityError(
             f"{kind} schedule invalid: beta_{s0} = {betas[bad[0]]:.6g} not in (0, 1)")
     alphas = 1.0 - betas
-    return NoiseSchedule(kind=kind, t=t, a=a, b=b, tau=tau, betas=betas,
-                         alphas=alphas, alpha_bars=np.cumprod(alphas))
+    return NoiseSchedule(kind=kind, t=t, betas=betas, alphas=alphas,
+                         alpha_bars=np.cumprod(alphas))
 
 
 def alpha_bar(schedule: NoiseSchedule, s: int) -> float:

@@ -44,8 +44,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -69,37 +69,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; constants are wrapped as untracked tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Tape:
@@ -290,14 +259,6 @@ def sum_all(a: Tensor) -> Tensor:
     if _tracked(a):
         shape = a.shape
         _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean())
-    if _tracked(a):
-        shape, n = a.shape, a.size
-        _record(out, (a,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
     return out
 
 

@@ -22,7 +22,6 @@ from .metrics import metric_single
 from .model import Approximator, init_params
 from .optim import Adam
 from .rng import RngStream
-from .schedule import build_schedule
 from .tensor import (Tape, Tensor, add, backward, cross_entropy_rows,
                      embedding_lookup, matmul, scale, transpose)
 
@@ -82,7 +81,7 @@ def _validation_ndcg10(scorer, samples, rng_base: RngStream) -> float:
 
 
 def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
-         train_rng: RngStream, val_rng: RngStream, batch_step, make_scorer,
+         train_rng: RngStream, val_rng: RngStream, batch_step, scorer,
          log_fn) -> TrainResult:
     if not splits.train:
         raise ValueError("no trainable sequences (need >= 1 history item "
@@ -114,7 +113,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
         if log_fn:
             log_fn(f"epoch {epoch}: mean loss {epoch_losses[-1]:.4f}")
         if splits.valid and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:
-            score = _validation_ndcg10(make_scorer(), splits.valid,
+            score = _validation_ndcg10(scorer, splits.valid,
                                        val_rng.derive(epoch))
             if log_fn:
                 log_fn(f"epoch {epoch}: validation NDCG@10 {score:.4f}")
@@ -165,9 +164,8 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
     and minimize full-vocabulary cross entropy with Adam."""
     splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, rng, "diffusion")
     params = model.params
-    schedule = build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a,
-                              cfg.schedule_b, cfg.schedule_tau,
-                              cfg.schedule_b_constant)
+    scorer = DiffusionScorer(model)  # reads the live parameters at each validation
+    schedule = scorer.schedule
 
     def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
         steps = sample_steps(cfg.t, len(targets), train_rng)
@@ -186,8 +184,7 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
         adam.zero_grad()
         return StepLog(epoch=epoch, batch=bi, loss=loss_val)
 
-    return _fit(splits, cfg, model, train_rng, val_rng, batch_step,
-                lambda: DiffusionScorer(model), log_fn)
+    return _fit(splits, cfg, model, train_rng, val_rng, batch_step, scorer, log_fn)
 
 
 def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
@@ -235,7 +232,7 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
                        delta_norm=float(np.linalg.norm(delta)))
 
     return _fit(splits, cfg, model, train_rng, val_rng, batch_step,
-                lambda: NextItemScorer(model), log_fn)
+                NextItemScorer(model), log_fn)
 
 
 def run_training(dataset: SequenceDataset, cfg: TrainConfig,

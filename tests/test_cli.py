@@ -114,8 +114,7 @@ def test_baseline_command(synth_dir, capsys):
 
 
 def test_infer_rejects_malformed_sequence(trained_ckpt):
-    with pytest.raises(SystemExit):
-        main(["infer", "--ckpt", str(trained_ckpt), "--sequence", "a,b"])
+    assert main(["infer", "--ckpt", str(trained_ckpt), "--sequence", "a,b"]) == 2
 
 
 @pytest.mark.parametrize("command", ["infer", "probe"])
@@ -131,7 +130,8 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
     assert captured.err.count("\n") == 1 and "999" in captured.err
 
 
-@pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt"])
+@pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
+                                   "bad-sequence", "missing-data"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, capsys):
     ckpt_path = tmp_path / "bad.ckpt"
     if fault == "truncated-ckpt":
@@ -140,13 +140,18 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
         ckpt = load_checkpoint(trained_ckpt)
         ckpt.tensors["item_emb"][1, 0] = float("nan")
         save_checkpoint(ckpt, ckpt_path)
-    else:
+    elif fault != "missing-ckpt":
         ckpt_path = trained_ckpt
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
     if fault == "steps-0":
         argv += ["--steps", "0"]
+    elif fault == "bad-sequence":
+        argv[-1] = "1,x"
+    elif fault == "missing-data":
+        argv = ["baseline", "--data", str(tmp_path / "nodir")]
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("seqdiff infer: ")
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"seqdiff {argv[0]}: ")

@@ -77,6 +77,14 @@ def test_preprocess_orders_by_timestamp_with_stable_ties():
     assert names[5:7] == ["b", "a"]  # equal timestamps keep input order
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_preprocess_rejects_max_len_below_one(max_len):
+    # recs[-0:] would keep the whole history and recs[-(-1):] drop the oldest item
+    recs = _records([("u", f"i{j % 5}", j) for j in range(20)])
+    with pytest.raises(ValueError, match="max_len"):
+        preprocess(recs, min_count=1, max_len=max_len)
+
+
 def test_preprocess_empty_result_is_an_error():
     with pytest.raises(PreprocessError):
         preprocess(_records([("u", "i", 1)]), min_count=5)
@@ -222,6 +230,16 @@ def test_save_load_round_trip(tmp_path):
 def test_load_processed_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_processed(tmp_path)
+
+
+@pytest.mark.parametrize("name,text", [("sequences.txt", "1 2\n1 2 x\n"),
+                                       ("vocab.tsv", "1\t1\ntwo\t2\n")])
+def test_load_processed_names_file_and_line_of_bad_token(tmp_path, name, text):
+    save_processed(synth("cyclic", 3, 2, 4, seed=0), tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        load_processed(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / name}: line 2: ")
 
 
 def test_ingest_rejects_negative_timestamp(tmp_path):

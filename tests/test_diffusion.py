@@ -10,20 +10,13 @@ from seqdiff.tensor import Tape, Tensor, backward, sum_all
 def _schedule_from_betas(betas):
     betas = np.asarray(betas, dtype=float)
     alphas = 1.0 - betas
-    return NoiseSchedule(kind="truncated-linear", t=len(betas), a=0.0, b=0.0,
-                         tau=1.0, betas=betas, alphas=alphas,
-                         alpha_bars=np.cumprod(alphas))
+    return NoiseSchedule(kind="truncated-linear", t=len(betas), betas=betas,
+                         alphas=alphas, alpha_bars=np.cumprod(alphas))
 
 
 @pytest.fixture
 def default_schedule():
     return build_schedule("truncated-linear", t=8)
-
-
-def test_embed_to_x0_alpha_one_is_identity(default_schedule):
-    e = Tensor(np.array([[1.0, -2.0, 0.5]]))
-    out = embed_to_x0(e, default_schedule, RngStream(0), alpha0=1.0)
-    assert out is e
 
 
 def test_embed_to_x0_scales_signal(default_schedule):
@@ -41,14 +34,6 @@ def test_embed_to_x0_monte_carlo_moments(default_schedule):
     out = embed_to_x0(e, _schedule_from_betas([1 - a0]), RngStream(11)).data
     assert abs(out.mean() - np.sqrt(a0)) < 0.01
     assert abs(out.var() - (1 - a0)) < 0.005
-
-
-def test_embed_to_x0_rejects_bad_alpha(default_schedule):
-    e = Tensor(np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        embed_to_x0(e, default_schedule, RngStream(0), alpha0=0.0)
-    with pytest.raises(ValueError):
-        embed_to_x0(e, default_schedule, RngStream(0), alpha0=1.5)
 
 
 def test_embed_to_x0_gradient_flows_to_embedding(default_schedule):

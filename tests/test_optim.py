@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqdiff.optim import Adam
-from seqdiff.tensor import ShapeMismatchError, Tape, Tensor, backward, mul, sum_all
+from seqdiff.tensor import ShapeMismatchError, Tape, Tensor, add, backward, mul, sum_all
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -31,7 +31,7 @@ def test_converges_on_scalar_quadratic():
     adam = Adam([w], lr=0.1)
     for _ in range(1000):
         with Tape() as tape:
-            diff = w - Tensor(np.array([3.0]))
+            diff = add(w, Tensor(np.array([-3.0])))
             backward(tape, sum_all(mul(diff, diff)))
         adam.step()
         adam.zero_grad()

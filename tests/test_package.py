@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import seqdiff
+import seqdiff.tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCH_RUN = TRACING.with_name("run.py")
 
 
 def test_train_submodule_is_not_shadowed():
@@ -26,3 +29,12 @@ def test_every_bench_hook_target_exists():
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+def test_every_package_name_the_bench_calls_exists():
+    # perfbench/run.py drives the package as `sd`; a deleted name would only
+    # show in the minutes-long benchmark run.
+    names = set(re.findall(r"\bsd\.([A-Za-z_]\w*)", BENCH_RUN.read_text()))
+    assert "run_training" in names
+    assert sorted(n for n in names if not hasattr(seqdiff, n)) == []
+    assert callable(seqdiff.tensor.default_dtype)

@@ -76,9 +76,8 @@ def _schedule_from_betas(betas):
     from seqdiff.schedule import NoiseSchedule
     betas = np.asarray(betas, dtype=float)
     alphas = 1.0 - betas
-    return NoiseSchedule(kind="truncated-linear", t=len(betas), a=0.0, b=0.0,
-                         tau=1.0, betas=betas, alphas=alphas,
-                         alpha_bars=np.cumprod(alphas))
+    return NoiseSchedule(kind="truncated-linear", t=len(betas), betas=betas,
+                         alphas=alphas, alpha_bars=np.cumprod(alphas))
 
 
 def test_alpha_bar_constant_beta_closed_form():

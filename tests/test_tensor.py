@@ -8,9 +8,8 @@ import pytest
 from seqdiff.rng import RngStream
 from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
-                            gather_rows, layer_norm, matmul, mean_all, mul,
-                            relu, reshape, sigmoid, softmax, sum_all, tanh,
-                            transpose)
+                            gather_rows, layer_norm, matmul, mul, relu,
+                            reshape, sigmoid, softmax, sum_all, tanh, transpose)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -166,7 +165,6 @@ def test_tape_clear_releases_intermediates():
     ("tanh", ((3, 5),)),
     ("transpose", ((2, 3, 4),)),
     ("reshape", ((3, 4),)),
-    ("mean", ((6, 2),)),
 ])
 def test_gradients_match_finite_differences(op, shapes):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -195,8 +193,6 @@ def test_gradients_match_finite_differences(op, shapes):
             out = transpose(tensors[0], (2, 0, 1))
         elif op == "reshape":
             out = reshape(tensors[0], (2, 6))
-        elif op == "mean":
-            out = mean_all(tensors[0])
         # weight the output so the pseudo-loss is not permutation-blind
         w = np.linspace(-1.0, 1.0, out.size).reshape(out.shape)
         return sum_all(mul(out, Tensor(w)))
