@@ -273,7 +273,9 @@ def load_processed(data_dir) -> SequenceDataset:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            idx_str, _, item = line.rstrip("\n").partition("\t")
+            idx_str, tab, item = line.rstrip("\n").partition("\t")
+            if not tab:
+                raise DataFormatError(f"{vocab_path}: line {lineno}: expected index<TAB>item_id")
             if _index(idx_str, vocab_path, lineno) != lineno:
                 raise DataFormatError(f"{vocab_path}: non-contiguous index at line {lineno}")
             item_ids.append(item)

@@ -68,7 +68,9 @@ class _EmbeddingScorer(Scorer):
         self.n_items = model.params.vocab_size
 
     def score_vector(self, vec: np.ndarray) -> np.ndarray:
-        scores = self.model.item_emb.data @ np.asarray(vec).reshape(-1)
+        scores = self.model.params.item_emb.data @ np.asarray(vec).reshape(-1)
+        if not np.all(np.isfinite(scores[1:])):
+            raise ValueError("the model produced non-finite item scores")
         scores[0] = -np.inf
         return scores
 

@@ -158,15 +158,12 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
                         train_mode: bool, rng: RngStream | None = None) -> Tensor:
     """Bidirectional encoder over valid positions; returns the last valid row.
 
-    (B, n, dim) -> (B, dim). Dropout is live only in train_mode, in which
-    case `rng` is required.
+    (B, n, dim) -> (B, dim). Dropout is live only in train_mode.
     """
     b, n, dim = z_seq.shape
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
     mask = _check_mask(padding_mask, b, n)
-    if train_mode and rng is None:
-        raise ValueError("train_mode forward requires an rng for dropout")
     heads = cfg.heads
     dh = dim // heads
     key_bias = Tensor(((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n))
@@ -207,8 +204,6 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
     """
     b, n, dim = z_seq.shape
     mask = _check_mask(padding_mask, b, n)
-    if train_mode and rng is None:
-        raise ValueError("train_mode forward requires an rng for dropout")
     g = params.gates
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
     rows = (b, dim) if train_mode else (b, 1, dim)
@@ -236,15 +231,13 @@ class Approximator:
         self.params = params
         self.cfg = cfg
 
-    @property
-    def item_emb(self) -> Tensor:
-        return self.params.item_emb
-
     def forward(self, z_seq: Tensor, mask: np.ndarray, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
-        if self.cfg.approximator == "gru":
-            return gru_forward(z_seq, mask, self.params, self.cfg, train_mode, rng)
-        return transformer_forward(z_seq, mask, self.params, self.cfg, train_mode, rng)
+        """Dropout is live only in train_mode, which needs `rng` to draw it."""
+        if train_mode and rng is None:
+            raise ValueError("train_mode forward requires an rng for dropout")
+        fwd = gru_forward if self.cfg.approximator == "gru" else transformer_forward
+        return fwd(z_seq, mask, self.params, self.cfg, train_mode, rng)
 
     def reconstruct(self, hist: np.ndarray, mask: np.ndarray, x, steps,
                     rng: RngStream | list[RngStream], train_mode: bool) -> Tensor:

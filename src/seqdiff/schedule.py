@@ -2,7 +2,8 @@
 
 A schedule fixes per-step noise magnitudes beta_1..beta_t; everything else
 (alpha_s = 1 - beta_s, the cumulative signal fraction alpha_bar_s, and the
-one-step reverse posterior) derives from it. alpha_bar_0 is defined as 1
+one-step reverse posterior) derives from it, once, in `schedule_from_betas`:
+a `NoiseSchedule` is that per-step table. alpha_bar_0 is defined as 1
 (empty product), which forces the s=1 posterior to collapse onto the clean
 estimate exactly.
 
@@ -10,7 +11,8 @@ Four families are supported:
 
 * truncated-linear: beta_s = (a/t)*s + b/s, and any raw value above the
   threshold tau is replaced by one tenth of itself. A `b_constant` variant
-  uses a flat offset b instead of b/s.
+  uses a flat offset b instead of b/s. Only this family reads a, b, tau and
+  b_constant; the others reject them away from their defaults.
 * linear: endpoints 1e-4..0.02 rescaled by 1000/t so short horizons still
   reach heavy noise.
 * cosine: alpha_bar(u) = cos^2(((u + 0.008)/1.008) * pi/2) ratios, capped
@@ -21,6 +23,7 @@ Four families are supported:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +40,16 @@ class ScheduleValidityError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
+    """Per-step table: index s-1 of each column belongs to step s."""
+
     kind: str
     t: int
     betas: np.ndarray = field(repr=False)
     alphas: np.ndarray = field(repr=False)
     alpha_bars: np.ndarray = field(repr=False)
+    coef_x0: np.ndarray = field(repr=False)
+    coef_xs: np.ndarray = field(repr=False)
+    beta_tilde: np.ndarray = field(repr=False)
 
     @property
     def alpha_0(self) -> float:
@@ -71,6 +79,14 @@ def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
     """Construct and validate a schedule of the given family and horizon."""
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
+    if kind != "truncated-linear":
+        defaults = inspect.signature(build_schedule).parameters
+        for name, value in (("a", a), ("b", b), ("tau", tau), ("b_constant", b_constant)):
+            if value != defaults[name].default:
+                raise ValueError(f"schedule option {name}={value!r} applies only to "
+                                 f"truncated-linear, not {kind}")
     if kind == "truncated-linear":
         s = np.arange(1, t + 1, dtype=float)
         offset = b if b_constant else b / s
@@ -82,19 +98,33 @@ def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
     elif kind == "cosine":
         betas = _betas_from_alpha_bar_fn(
             lambda u: math.cos((u + 0.008) / 1.008 * math.pi / 2.0) ** 2, t)
-    elif kind == "sqrt":
-        betas = _betas_from_alpha_bar_fn(lambda u: 1.0 - math.sqrt(u + 1e-4), t)
     else:
-        raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
+        betas = _betas_from_alpha_bar_fn(lambda u: 1.0 - math.sqrt(u + 1e-4), t)
+    return schedule_from_betas(kind, betas)
 
+
+def schedule_from_betas(kind: str, betas) -> NoiseSchedule:
+    """Check every beta is in (0, 1), then derive the rest of the table.
+
+    Posterior at step s: mean = coef_x0 * x0_hat + coef_xs * x_s, variance
+    beta_tilde. Row 1 is exactly (1, 0, 0), so the final reverse step
+    reproduces the clean estimate bit for bit.
+    """
+    betas = np.asarray(betas, dtype=float)
     bad = np.nonzero((betas <= 0.0) | (betas >= 1.0))[0]
     if bad.size:
         s0 = int(bad[0]) + 1
         raise ScheduleValidityError(
             f"{kind} schedule invalid: beta_{s0} = {betas[bad[0]]:.6g} not in (0, 1)")
     alphas = 1.0 - betas
-    return NoiseSchedule(kind=kind, t=t, betas=betas, alphas=alphas,
-                         alpha_bars=np.cumprod(alphas))
+    alpha_bars = np.cumprod(alphas)
+    ab_prev, beta = alpha_bars[:-1], betas[1:]  # steps 2..t; alpha_bar_0 = 1 gives row 1
+    denom = 1.0 - alpha_bars[1:]
+    return NoiseSchedule(
+        kind=kind, t=len(betas), betas=betas, alphas=alphas, alpha_bars=alpha_bars,
+        coef_x0=np.concatenate(([1.0], np.sqrt(ab_prev) * beta / denom)),
+        coef_xs=np.concatenate(([0.0], np.sqrt(alphas[1:]) * (1.0 - ab_prev) / denom)),
+        beta_tilde=np.concatenate(([0.0], (1.0 - ab_prev) / denom * beta)))
 
 
 def alpha_bar(schedule: NoiseSchedule, s: int) -> float:
@@ -107,50 +137,18 @@ def alpha_bar(schedule: NoiseSchedule, s: int) -> float:
 
 
 def posterior(schedule: NoiseSchedule, s: int) -> PosteriorCoeffs:
-    """One-step reverse posterior weights at step s.
-
-    mean = coef_x0 * x0_hat + coef_xs * x_s, variance beta_tilde. At s=1 the
-    coefficients are exactly (1, 0, 0) so the final reverse step reproduces
-    the clean estimate bit for bit.
-    """
+    """Row s of the schedule's one-step reverse posterior."""
     if not 1 <= s <= schedule.t:
         raise ValueError(f"step {s} out of range [1, {schedule.t}]")
-    if s == 1:
-        return PosteriorCoeffs(1.0, 0.0, 0.0)
-    ab_prev = alpha_bar(schedule, s - 1)
-    ab_cur = float(schedule.alpha_bars[s - 1])
-    beta = float(schedule.betas[s - 1])
-    alpha = float(schedule.alphas[s - 1])
-    denom = 1.0 - ab_cur
-    return PosteriorCoeffs(
-        coef_x0=math.sqrt(ab_prev) * beta / denom,
-        coef_xs=math.sqrt(alpha) * (1.0 - ab_prev) / denom,
-        beta_tilde=(1.0 - ab_prev) / denom * beta,
-    )
-
-
-def schedule_rows(schedule: NoiseSchedule) -> list[dict]:
-    """Per-step table of the schedule and its posterior, for the CSV dump."""
-    rows = []
-    for s in range(1, schedule.t + 1):
-        post = posterior(schedule, s)
-        rows.append({
-            "s": s,
-            "beta": float(schedule.betas[s - 1]),
-            "alpha": float(schedule.alphas[s - 1]),
-            "alpha_bar": float(schedule.alpha_bars[s - 1]),
-            "coef_x0": post.coef_x0,
-            "coef_xs": post.coef_xs,
-            "beta_tilde": post.beta_tilde,
-        })
-    return rows
+    return PosteriorCoeffs(float(schedule.coef_x0[s - 1]), float(schedule.coef_xs[s - 1]),
+                           float(schedule.beta_tilde[s - 1]))
 
 
 def dump_schedule_csv(schedule: NoiseSchedule, path) -> None:
     """Write `s,beta,alpha,alpha_bar,coef_x0,coef_xs,beta_tilde` rows, 12 sig digits."""
+    columns = (schedule.betas, schedule.alphas, schedule.alpha_bars,
+               schedule.coef_x0, schedule.coef_xs, schedule.beta_tilde)
     with open(path, "w") as fh:
         fh.write("s,beta,alpha,alpha_bar,coef_x0,coef_xs,beta_tilde\n")
-        for row in schedule_rows(schedule):
-            vals = [f"{row[k]:.12g}" for k in
-                    ("beta", "alpha", "alpha_bar", "coef_x0", "coef_xs", "beta_tilde")]
-            fh.write(f"{row['s']}," + ",".join(vals) + "\n")
+        for s, row in enumerate(zip(*columns), start=1):
+            fh.write(f"{s}," + ",".join(f"{v:.12g}" for v in row) + "\n")

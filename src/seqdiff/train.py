@@ -142,27 +142,25 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
                        epochs_run=epochs_run)
 
 
-def _setup(dataset: SequenceDataset, cfg: TrainConfig, rng: RngStream | None,
-           mode: str):
+def _setup(dataset: SequenceDataset, cfg: TrainConfig, mode: str):
     """Checks shared by both modes, then the splits, a fresh model, its Adam,
-    and the training and validation streams derived from the root seed."""
+    and the training and validation streams, all derived from cfg.seed."""
     cfg.validate()
     if cfg.mode != mode:
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
     if not dataset.sequences:
         raise ValueError("dataset is empty")
-    root = rng or RngStream(cfg.seed)
+    root = RngStream(cfg.seed)
     model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
     adam = Adam([t for _, t in model.params.named()], lr=cfg.learning_rate)
     return split(dataset), model, adam, root.derive(1), root.derive(2)
 
 
-def train(dataset: SequenceDataset, cfg: TrainConfig,
-          rng: RngStream | None = None, log_fn=None) -> TrainResult:
+def train(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResult:
     """Fit the diffusion recommender: per batch, sample a step, corrupt the
     target embedding to that step, reconstruct it from the mixed history,
     and minimize full-vocabulary cross entropy with Adam."""
-    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, rng, "diffusion")
+    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "diffusion")
     params = model.params
     scorer = DiffusionScorer(model)  # reads the live parameters at each validation
     schedule = scorer.schedule
@@ -188,7 +186,7 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
 
 
 def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
-                      rng: RngStream | None = None, log_fn=None) -> TrainResult:
+                      log_fn=None) -> TrainResult:
     """Fit the plain next-item transformer with an adversarial regularizer.
 
     Total loss is L(params) + gamma * L(params with the item table shifted
@@ -197,7 +195,7 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
     a batch reuse the same dropout masks, so epsilon=0 makes the perturbed
     pass bit-identical to the base pass.
     """
-    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, rng, "adversarial")
+    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "adversarial")
     params = model.params
     delta = np.zeros_like(params.item_emb.data)
 
@@ -235,9 +233,8 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
                 NextItemScorer(model), log_fn)
 
 
-def run_training(dataset: SequenceDataset, cfg: TrainConfig,
-                 rng: RngStream | None = None, log_fn=None) -> TrainResult:
+def run_training(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResult:
     """Dispatch on cfg.mode."""
     if cfg.mode == "adversarial":
-        return adversarial_train(dataset, cfg, rng, log_fn)
-    return train(dataset, cfg, rng, log_fn)
+        return adversarial_train(dataset, cfg, log_fn)
+    return train(dataset, cfg, log_fn)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from seqdiff.cli import main
@@ -155,3 +156,30 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff {argv[0]}: ")
+
+
+def test_schedule_option_of_another_family_is_one_line_and_exit_2(tmp_path, capsys):
+    out = tmp_path / "schedule.csv"
+    assert main(["schedule-dump", "--kind", "cosine", "--t", "8", "--tau", "0.01",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and "tau=0.01" in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_non_finite_scores_are_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt,
+                                                    command, capsys):
+    # finite weights, so the checkpoint loads; the forward pass overflows
+    ckpt = load_checkpoint(trained_ckpt)
+    ckpt.tensors["item_emb"] *= 1e200
+    ckpt_path = tmp_path / "scaled.ckpt"
+    save_checkpoint(ckpt, ckpt_path)
+    argv = [command, "--ckpt", str(ckpt_path)]
+    argv += ["--data", str(synth_dir)] if command == "eval" else ["--sequence", "1,2"]
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"seqdiff {command}: the model produced non-finite item scores\n"

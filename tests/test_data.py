@@ -233,7 +233,8 @@ def test_load_processed_missing_files(tmp_path):
 
 
 @pytest.mark.parametrize("name,text", [("sequences.txt", "1 2\n1 2 x\n"),
-                                       ("vocab.tsv", "1\t1\ntwo\t2\n")])
+                                       ("vocab.tsv", "1\t1\ntwo\t2\n"),
+                                       ("vocab.tsv", "1\t1\n2\n")])
 def test_load_processed_names_file_and_line_of_bad_token(tmp_path, name, text):
     save_processed(synth("cyclic", 3, 2, 4, seed=0), tmp_path)
     (tmp_path / name).write_text(text)

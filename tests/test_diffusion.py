@@ -3,15 +3,8 @@ import pytest
 
 from seqdiff.diffusion import embed_to_x0, q_sample, reverse_step, sample_steps
 from seqdiff.rng import RngStream
-from seqdiff.schedule import NoiseSchedule, build_schedule
+from seqdiff.schedule import build_schedule, schedule_from_betas
 from seqdiff.tensor import Tape, Tensor, backward, sum_all
-
-
-def _schedule_from_betas(betas):
-    betas = np.asarray(betas, dtype=float)
-    alphas = 1.0 - betas
-    return NoiseSchedule(kind="truncated-linear", t=len(betas), betas=betas,
-                         alphas=alphas, alpha_bars=np.cumprod(alphas))
 
 
 @pytest.fixture
@@ -31,7 +24,7 @@ def test_embed_to_x0_scales_signal(default_schedule):
 def test_embed_to_x0_monte_carlo_moments(default_schedule):
     a0 = 0.96
     e = Tensor(np.ones((100_000, 1)))
-    out = embed_to_x0(e, _schedule_from_betas([1 - a0]), RngStream(11)).data
+    out = embed_to_x0(e, schedule_from_betas("truncated-linear", [1 - a0]), RngStream(11)).data
     assert abs(out.mean() - np.sqrt(a0)) < 0.01
     assert abs(out.var() - (1 - a0)) < 0.005
 
@@ -53,7 +46,7 @@ def test_q_sample_zero_noise_scales_by_sqrt_alpha_bar(default_schedule):
 
 
 def test_q_sample_heavy_noise_limit():
-    sch = _schedule_from_betas([0.5] * 20)  # alpha_bar_20 ~ 1e-6
+    sch = schedule_from_betas("truncated-linear", [0.5] * 20)  # alpha_bar_20 ~ 1e-6
     x0 = Tensor(np.ones((1, 8)))
     eps = RngStream(1).gaussian((1, 8))
     out = q_sample(x0, 20, sch, eps)
@@ -105,7 +98,7 @@ def test_reverse_step_returns_estimate_at_step_one(default_schedule):
 
 
 def test_reverse_step_hand_values():
-    sch = _schedule_from_betas([0.1, 0.2])
+    sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     out = reverse_step(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), 2, sch,
                        np.zeros((1, 2)))
     coef_x0 = np.sqrt(0.9) * 0.2 / 0.28
@@ -123,7 +116,7 @@ def test_reverse_step_deterministic_with_fixed_noise(default_schedule):
 
 
 def test_reverse_step_noise_coefficient_literal_vs_sqrt():
-    sch = _schedule_from_betas([0.1, 0.2])
+    sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     eps = np.ones((1, 2))
     lit = reverse_step(np.zeros((1, 2)), np.zeros((1, 2)), 2, sch, eps)
     srt = reverse_step(np.zeros((1, 2)), np.zeros((1, 2)), 2, sch, eps,

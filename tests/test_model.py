@@ -230,3 +230,13 @@ def test_init_is_deterministic():
     for (na, ta), (nb, tb) in zip(a.named(), b.named()):
         assert na == nb
         assert np.array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_train_mode_forward_needs_a_dropout_stream(approximator):
+    cfg = tiny_config(approximator=approximator)
+    model = Approximator(init_params(5, cfg, RngStream(0)), cfg)
+    z = Tensor(np.zeros((1, 3, cfg.dim)))
+    with pytest.raises(ValueError, match="requires an rng"):
+        model.forward(z, np.ones((1, 3)), train_mode=True)
+    assert model.forward(z, np.ones((1, 3)), train_mode=False).shape == (1, cfg.dim)

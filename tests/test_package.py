@@ -38,3 +38,29 @@ def test_every_package_name_the_bench_calls_exists():
     assert "run_training" in names
     assert sorted(n for n in names if not hasattr(seqdiff, n)) == []
     assert callable(seqdiff.tensor.default_dtype)
+
+
+def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
+    # A refactor that stops calling a hooked name (reverse_step no longer
+    # going through posterior, say) reads 0 in that per-layer metric; only
+    # the minutes-long benchmark run would notice.
+    from conftest import desk_config
+
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sd = seqdiff  # looked up at call time, so the tracer's wrappers are what runs
+    with tracing.Tracer() as tracer:
+        for approximator in ("transformer", "gru"):
+            cfg = desk_config(dim=8, blocks=1, heads=2, t=2, batch_size=16, epochs=1,
+                              max_len=6, eval_every=1, approximator=approximator)
+            dataset = sd.synth("markov", 30, 10, 6, 1)
+            test = sd.split(dataset).test
+            path = tmp_path / f"{approximator}.ckpt"
+            sd.save_checkpoint(sd.run_training(dataset, cfg).checkpoint, path)
+            scorer = sd.build_scorer(sd.load_checkpoint(path))
+            sd.evaluate(scorer, test, seed=0)
+            sd.infer(scorer, test[0].history, sd.RngStream(0))
+            sd.uncertainty_probe(scorer, test[0].history, n_reverses=2, k=3)
+    called = {name for name, span in tracer.spans.items() if span.calls}
+    assert sorted(set(tracing.SPANS.values()) - called) == []

@@ -10,7 +10,8 @@ from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
                                 CheckpointVersionError, checkpoint_from_params,
                                 load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
-from seqdiff.data import synth
+from seqdiff.data import Sample, synth
+from seqdiff.evaluate import evaluate, uncertainty_probe
 from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rounding
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
@@ -321,6 +322,28 @@ def test_oracle_reversal_ranks_oracle_item_first():
         for seed in (0, 1, 2):
             ranking = infer(scorer, [1, 2], RngStream(seed))
             assert ranking[0] == 3
+
+
+def test_non_finite_scores_are_refused():
+    # NaN scores would print as "nan", and eval would rank every target first
+    # because no score is higher than NaN
+    cfg = tiny_config(dim=4, heads=1, t=2, delta=0.001)
+    model = OracleApproximator(init_params(4, cfg, RngStream(0)), cfg, [np.nan] * 4)
+    scorer = DiffusionScorer(model, 2)
+    with pytest.raises(ValueError, match="non-finite item scores"):
+        infer(scorer, [1, 2], RngStream(0))
+    with pytest.raises(ValueError, match="non-finite item scores"):
+        evaluate(scorer, [Sample(history=(1, 2), target=3)], seed=0)
+    with pytest.raises(ValueError, match="non-finite item scores"):
+        uncertainty_probe(scorer, [1, 2], n_reverses=3, k=2)
+
+
+def test_schedule_options_of_another_family_fail_before_epoch_one():
+    cfg = tiny_config(schedule_kind="cosine", schedule_tau=0.5)
+    logs = []
+    with pytest.raises(ValueError, match="schedule option tau=0.5"):
+        train(tiny_dataset(), cfg, log_fn=logs.append)
+    assert logs == []
 
 
 def test_infer_same_seed_same_ranking():

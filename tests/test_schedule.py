@@ -5,7 +5,7 @@ import pytest
 
 from seqdiff.schedule import (KINDS, ScheduleValidityError, alpha_bar,
                               build_schedule, dump_schedule_csv, posterior,
-                              schedule_rows)
+                              schedule_from_betas)
 
 
 def test_truncated_linear_hand_values():
@@ -66,29 +66,20 @@ def test_internal_consistency(kind):
 
 
 def test_alpha_bar_two_term_product():
-    sch = _schedule_from_betas([0.1, 0.2])
+    sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     assert alpha_bar(sch, 2) == pytest.approx(0.72, rel=1e-15)
     assert alpha_bar(sch, 0) == 1.0
 
 
-def _schedule_from_betas(betas):
-    """Build any-kind schedule object carrying exactly these betas."""
-    from seqdiff.schedule import NoiseSchedule
-    betas = np.asarray(betas, dtype=float)
-    alphas = 1.0 - betas
-    return NoiseSchedule(kind="truncated-linear", t=len(betas), betas=betas,
-                         alphas=alphas, alpha_bars=np.cumprod(alphas))
-
-
 def test_alpha_bar_constant_beta_closed_form():
     beta = 0.05
-    sch = _schedule_from_betas([beta] * 10)
+    sch = schedule_from_betas("truncated-linear", [beta] * 10)
     for s in range(11):
         assert alpha_bar(sch, s) == pytest.approx((1 - beta) ** s, rel=1e-12)
 
 
 def test_alpha_bar_range_check():
-    sch = _schedule_from_betas([0.1, 0.2])
+    sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     with pytest.raises(ValueError):
         alpha_bar(sch, 3)
     with pytest.raises(ValueError):
@@ -102,7 +93,7 @@ def test_posterior_degenerates_at_step_one():
 
 
 def test_posterior_hand_values():
-    sch = _schedule_from_betas([0.1, 0.2])
+    sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     post = posterior(sch, 2)
     assert post.coef_x0 == pytest.approx(math.sqrt(0.9) * 0.2 / 0.28, rel=1e-12)
     assert post.coef_xs == pytest.approx(math.sqrt(0.8) * 0.1 / 0.28, rel=1e-12)
@@ -155,12 +146,11 @@ def test_schedule_dump_round_trips_through_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,beta,alpha,alpha_bar,coef_x0,coef_xs,beta_tilde"
     assert len(lines) == 7
-    rows = schedule_rows(sch)
-    for line, row in zip(lines[1:], rows):
+    for s, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        assert int(fields[0]) == row["s"]
-        assert float(fields[1]) == pytest.approx(row["beta"], rel=1e-11)
-        assert float(fields[4]) == pytest.approx(row["coef_x0"], rel=1e-11)
+        assert int(fields[0]) == s
+        assert float(fields[1]) == pytest.approx(sch.betas[s - 1], rel=1e-11)
+        assert float(fields[4]) == pytest.approx(sch.coef_x0[s - 1], rel=1e-11)
 
 
 def test_schedule_shapes_match_reference_ordering():
@@ -172,3 +162,44 @@ def test_schedule_shapes_match_reference_ordering():
     bars = np.concatenate([[1.0], schedules["truncated-linear"].alpha_bars])
     drop_step = int(np.argmax(bars[:-1] - bars[1:])) + 1
     assert t // 3 < drop_step <= (2 * t) // 3
+
+
+def _reference_posterior(schedule, s):
+    """Step s's posterior from Python floats, one step at a time."""
+    if s == 1:
+        return 1.0, 0.0, 0.0
+    ab_prev = float(schedule.alpha_bars[s - 2])
+    beta = float(schedule.betas[s - 1])
+    alpha = float(schedule.alphas[s - 1])
+    denom = 1.0 - float(schedule.alpha_bars[s - 1])
+    return (math.sqrt(ab_prev) * beta / denom,
+            math.sqrt(alpha) * (1.0 - ab_prev) / denom,
+            (1.0 - ab_prev) / denom * beta)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_posterior_table_equals_per_step_reference_exactly(kind):
+    horizons = []
+    for t in (1, 8, 32, 1000):
+        try:
+            sch = build_schedule(kind, t)
+        except ScheduleValidityError:
+            assert kind == "linear" and t == 8  # its rescaled endpoints overflow
+            continue
+        horizons.append(t)
+        for s in range(1, t + 1):
+            row = (sch.coef_x0[s - 1], sch.coef_xs[s - 1], sch.beta_tilde[s - 1])
+            assert row == _reference_posterior(sch, s)
+            post = posterior(sch, s)
+            assert (post.coef_x0, post.coef_xs, post.beta_tilde) == row
+    assert horizons == ([1, 32, 1000] if kind == "linear" else [1, 8, 32, 1000])
+
+
+@pytest.mark.parametrize("kind", ["linear", "cosine", "sqrt"])
+@pytest.mark.parametrize("option,value", [("a", 0.9), ("b", 0.0), ("tau", 0.01),
+                                          ("b_constant", True)])
+def test_family_options_apply_only_to_truncated_linear(kind, option, value):
+    build_schedule(kind, t=32, a=0.2, b=0.008, tau=1.0, b_constant=False)  # the defaults
+    with pytest.raises(ValueError, match=f"option {option}="):
+        build_schedule(kind, t=32, **{option: value})
+    build_schedule("truncated-linear", t=32, **{option: value})
