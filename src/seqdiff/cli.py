@@ -6,9 +6,12 @@ Subcommands: preprocess, synth, schedule-dump, train, infer, eval, probe.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
@@ -206,10 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands whose item scores `score_vector` checks for finiteness: an overflow
+# inside the model ends in that check's one-line error, not in numpy warnings.
+_SCORING = ("infer", "eval", "probe")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    quiet = (np.errstate(over="ignore", invalid="ignore", divide="ignore")
+             if args.command in _SCORING else contextlib.nullcontext())
     try:
-        return args.func(args)
+        with quiet:
+            return args.func(args)
     except (ValueError, OSError, CheckpointError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
         return 2

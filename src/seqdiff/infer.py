@@ -18,7 +18,7 @@ from .checkpoint import ModelCheckpoint, model_from_checkpoint
 from .diffusion import reverse_step
 from .model import Approximator
 from .rng import RngStream, gaussian_rows
-from .schedule import build_schedule
+from .schedule import build_schedule, respace
 
 ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
 
@@ -101,6 +101,11 @@ class _EmbeddingScorer(Scorer):
 class DiffusionScorer(_EmbeddingScorer):
     """Reverses pure noise into a target representation with the trained model.
 
+    `steps` below the trained horizon t reverses along the evenly spaced
+    trained steps `self.trained_steps` (ending at t), on the table
+    `respace` derives for them; `steps == t` walks the trained table itself.
+    `self.schedule` is the table the reversal walks.
+
     Each row's stream is consumed in a fixed order: the (1, dim) initial
     Gaussian, then per reverse step the row's (1, n, dim) mixing noise
     (inside the approximator) and its (1, dim) posterior noise.
@@ -110,9 +115,15 @@ class DiffusionScorer(_EmbeddingScorer):
         super().__init__(model)
         cfg = model.cfg
         self.steps = cfg.t if steps is None else int(steps)
+        if not 1 <= self.steps <= cfg.t:
+            raise ValueError(f"reverse steps must be in [1, {cfg.t}] (the trained "
+                             f"horizon t), got {self.steps}")
+        self.trained_steps = np.arange(1, self.steps + 1) * cfg.t // self.steps
         self.schedule = build_schedule(
-            cfg.schedule_kind, self.steps, cfg.schedule_a, cfg.schedule_b,
+            cfg.schedule_kind, cfg.t, cfg.schedule_a, cfg.schedule_b,
             cfg.schedule_tau, cfg.schedule_b_constant)
+        if self.steps < cfg.t:
+            self.schedule = respace(self.schedule, self.trained_steps)
 
     def represent(self, history, rng: RngStream) -> np.ndarray:
         return self.represent_batch([history], [rng])[0]
@@ -121,10 +132,11 @@ class DiffusionScorer(_EmbeddingScorer):
         b, dim = len(hist), self.model.cfg.dim
         mask = np.ones(hist.shape)
         x = gaussian_rows(rngs, (dim,))
-        for s in range(self.steps, 0, -1):
-            x0_hat = self.model.reconstruct(hist, mask, x, np.full(b, s), rngs,
+        for i in range(self.steps, 0, -1):
+            trained = np.full(b, self.trained_steps[i - 1])
+            x0_hat = self.model.reconstruct(hist, mask, x, trained, rngs,
                                             train_mode=False).data
-            x = reverse_step(x, x0_hat, s, self.schedule, gaussian_rows(rngs, (dim,)),
+            x = reverse_step(x, x0_hat, i, self.schedule, gaussian_rows(rngs, (dim,)),
                              noise_sqrt=self.model.cfg.reverse_noise_sqrt)
         return x
 

@@ -23,7 +23,7 @@ from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows,
                      layer_norm, matmul, mul, neg, relu, reshape, scale, sigmoid,
-                     softmax, tanh, transpose)
+                     softmax, stack, tanh, transpose, unstack)
 
 _NEG_INF = -1e9
 
@@ -146,11 +146,17 @@ def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream):
 # ---------------------------------------------------------------------------
 
 
-def _check_mask(mask: np.ndarray, b: int, n: int) -> np.ndarray:
+def _check_mask(mask: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a right-padded (B, n) mask; return it and each row's last valid position."""
     mask = np.asarray(mask, dtype=float).reshape(b, n)
-    if np.any(mask.sum(axis=1) == 0):
+    valid = mask.sum(axis=1)
+    if np.any(valid == 0):
         raise ValueError("sequence with no valid positions (all padding)")
-    return mask
+    rises = mask[:, 1:] > mask[:, :-1]
+    if rises.any():
+        raise ValueError(f"padding mask row {int(np.argmax(rises.any(axis=1)))} has a "
+                         "valid position after padding; sequences must be right-padded")
+    return mask, valid.astype(int) - 1
 
 
 def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
@@ -163,7 +169,7 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
     b, n, dim = z_seq.shape
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    mask = _check_mask(padding_mask, b, n)
+    mask, last = _check_mask(padding_mask, b, n)
     heads = cfg.heads
     dh = dim // heads
     key_bias = Tensor(((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n))
@@ -183,7 +189,6 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
         ff = matmul(relu(add(matmul(h, blk["w1"]), blk["b1"])), blk["w2"])
         ff = dropout(add(ff, blk["b2"]), cfg.dropout_block, rng, train_mode)
         h = layer_norm(add(h, ff), blk["ln2_g"], blk["ln2_b"])
-    last = mask.sum(axis=1).astype(int) - 1
     return gather_rows(h, last)
 
 
@@ -194,34 +199,38 @@ def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:
 def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
                 cfg: TrainConfig, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
-    """Single-layer gated recurrence over valid positions; last valid state out.
+    """Single-layer gated recurrence; returns the state at the last valid position.
 
-    Padded steps carry the previous hidden state through unchanged, so with
-    right padding the final state equals the state at the last valid item.
-    In eval mode every row runs as a (1, dim) state, so every product is one
-    vector-matrix product per row: a row's bytes then do not depend on its
-    batch. Training runs the whole batch as one (B, dim) state.
+    The input side of each gate, z @ wi + bi, is computed for all n positions
+    before the loop (one (n, dim) product per row), so the loop holds only
+    the h-side products. The loop runs over padded positions too; with right
+    padding, the state at position mask.sum(1) - 1 is picked, as in
+    `transformer_forward`. In eval mode every row runs as a (1, dim) state,
+    so each h-side product is one vector-matrix product per row: a row's
+    bytes then do not depend on its batch. Training runs the whole batch as
+    one (B, dim) state.
     """
     b, n, dim = z_seq.shape
-    mask = _check_mask(padding_mask, b, n)
+    _, last = _check_mask(padding_mask, b, n)
     g = params.gates
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
     rows = (b, dim) if train_mode else (b, 1, dim)
-    if not train_mode:
-        z_seq = reshape(z_seq, (b, n, 1, dim))
+
+    def input_side(gate: str) -> list[Tensor]:
+        x = add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"])
+        return unstack(x if train_mode else reshape(x, (b, n, 1, dim)))
+
+    xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
     h = Tensor(np.zeros(rows))
+    states = []
     for i in range(n):
-        x = gather_rows(z_seq, np.full(b, i))
-        r = sigmoid(add(add(matmul(x, g["wi_r"]), g["bi_r"]),
-                        add(matmul(h, g["wh_r"]), g["bh_r"])))
-        u = sigmoid(add(add(matmul(x, g["wi_z"]), g["bi_z"]),
-                        add(matmul(h, g["wh_z"]), g["bh_z"])))
-        cand = tanh(add(add(matmul(x, g["wi_n"]), g["bi_n"]),
-                        mul(r, add(matmul(h, g["wh_n"]), g["bh_n"]))))
-        h_new = add(cand, mul(u, add(h, neg(cand))))
-        keep = mask[:, i].reshape(*rows[:-1], 1)
-        h = add(mul(h_new, Tensor(keep)), mul(h, Tensor(1.0 - keep)))
-    return h if train_mode else reshape(h, (b, dim))
+        r = sigmoid(add(xr[i], add(matmul(h, g["wh_r"]), g["bh_r"])))
+        u = sigmoid(add(xz[i], add(matmul(h, g["wh_z"]), g["bh_z"])))
+        cand = tanh(add(xn[i], mul(r, add(matmul(h, g["wh_n"]), g["bh_n"]))))
+        h = add(cand, mul(u, add(h, neg(cand))))
+        states.append(h)
+    out = gather_rows(stack(states), last)
+    return out if train_mode else reshape(out, (b, dim))
 
 
 class Approximator:

@@ -127,6 +127,18 @@ def schedule_from_betas(kind: str, betas) -> NoiseSchedule:
         beta_tilde=np.concatenate(([0.0], (1.0 - ab_prev) / denom * beta)))
 
 
+def respace(schedule: NoiseSchedule, steps) -> NoiseSchedule:
+    """Table of a reversal that visits only the increasing trained `steps`.
+
+    Row i has beta'_i = 1 - alpha_bar[steps_i] / alpha_bar[steps_{i-1}], with
+    the alpha_bar before the first visited step taken as 1, so the respaced
+    alpha_bar matches the trained one at every visited step (timestep
+    respacing, Nichol & Dhariwal, Improved DDPM, section 4).
+    """
+    ab = schedule.alpha_bars[np.asarray(steps) - 1]
+    return schedule_from_betas(schedule.kind, 1.0 - ab / np.concatenate(([1.0], ab[:-1])))
+
+
 def alpha_bar(schedule: NoiseSchedule, s: int) -> float:
     """Cumulative signal fraction after s steps; s=0 is the empty product 1."""
     if not 0 <= s <= schedule.t:

@@ -80,7 +80,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        # (output, inputs, backward); the output is a tuple for `unstack`
+        self._nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -117,9 +118,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for out, inputs, fn in reversed(tape._nodes):
-        g = grads.get(id(out))
-        if g is None:
-            continue  # not on a path to the loss
+        if type(out) is tuple:  # one node, several outputs: None for those off the path
+            g = [grads.get(id(o)) for o in out]
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = grads.get(id(out))
+            if g is None:
+                continue  # not on a path to the loss
         in_grads = fn(g)
         for t, gi in zip(inputs, in_grads):
             if gi is None or not t.requires_grad:
@@ -341,6 +347,43 @@ def gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
             return (gx,)
 
         _record(out, (x,), bwd)
+    return out
+
+
+def unstack(x: Tensor) -> list[Tensor]:
+    """Split (B, n, ...) into the n slices x[:, i], each (B, ...).
+
+    One tape node covers every slice, and its backward builds the (B, n, ...)
+    gradient once, with zeros in the slots of slices off the loss path.
+    """
+    # one copy to (n, B, ...) makes every slice a contiguous view
+    data = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
+    outs = tuple(Tensor(part) for part in data)
+    if _tracked(x):
+        shape, dtype = x.shape, x.data.dtype
+
+        def bwd(gs):
+            gx = np.zeros(shape, dtype=dtype)
+            for i, g in enumerate(gs):
+                if g is not None:
+                    gx[:, i] = g
+            return (gx,)
+
+        for o in outs:
+            o.requires_grad = True
+        _TAPE_STACK[-1]._nodes.append((outs, (x,), bwd))
+    return list(outs)
+
+
+def stack(tensors: list[Tensor]) -> Tensor:
+    """n tensors of shape (B, ...) -> (B, n, ...), the inverse of `unstack`.
+
+    The backward hands each input a view of the output gradient.
+    """
+    out = Tensor(np.stack([t.data for t in tensors], axis=1))
+    if _tracked(*tensors):
+        n = len(tensors)
+        _record(out, tuple(tensors), lambda g: tuple(g[:, i] for i in range(n)))
     return out
 
 

@@ -18,8 +18,8 @@ N_ITEMS = 30
 infer_mod = importlib.import_module("seqdiff.infer")
 
 
-def _model(approximator):
-    cfg = desk_config(dim=16, blocks=2, heads=2, t=4, max_len=8,
+def _model(approximator, dim=16):
+    cfg = desk_config(dim=dim, blocks=2, heads=2, t=4, max_len=8,
                       approximator=approximator)
     return Approximator(init_params(N_ITEMS, cfg, RngStream(2)), cfg)
 
@@ -49,6 +49,18 @@ def test_each_row_matches_the_row_scored_alone(approximator, scorer_cls, batch):
         assert got.shape == (len(hists[a:a + size]), 16)
         for row, want in zip(got, alone[a:a + size]):
             assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
+def test_each_gru_row_matches_the_row_scored_alone_at_dim_128(scorer_cls):
+    # wider rows take other BLAS kernels than dim 16
+    scorer = scorer_cls(_model("gru", dim=128))
+    hists = _histories()
+    alone = [scorer.represent(h, r) for h, r in zip(hists, _streams(len(hists)))]
+    got = scorer.represent_batch(hists, _streams(len(hists)))
+    assert got.shape == (len(hists), 128)
+    for row, want in zip(got, alone):
+        assert row.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])

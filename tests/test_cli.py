@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -132,7 +136,7 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
 
 
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
-                                   "bad-sequence", "missing-data"])
+                                   "bad-sequence", "missing-data", "steps-above-t"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, capsys):
     ckpt_path = tmp_path / "bad.ckpt"
     if fault == "truncated-ckpt":
@@ -146,6 +150,8 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
     if fault == "steps-0":
         argv += ["--steps", "0"]
+    elif fault == "steps-above-t":  # more steps than the model was trained on
+        argv += ["--steps", str(load_checkpoint(trained_ckpt).config.t + 1)]
     elif fault == "bad-sequence":
         argv[-1] = "1,x"
     elif fault == "missing-data":
@@ -183,3 +189,18 @@ def test_non_finite_scores_are_one_line_and_exit_2(tmp_path, synth_dir, trained_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"seqdiff {command}: the model produced non-finite item scores\n"
+
+
+def test_overflow_warnings_stay_off_stderr(tmp_path, trained_ckpt):
+    # in a fresh interpreter, where numpy prints its RuntimeWarnings; in this
+    # process conftest turns overflow into an exception instead
+    ckpt = load_checkpoint(trained_ckpt)
+    ckpt.tensors["item_emb"] *= 1e200
+    ckpt_path = tmp_path / "scaled.ckpt"
+    save_checkpoint(ckpt, ckpt_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "seqdiff", "infer", "--ckpt", str(ckpt_path),
+                           "--sequence", "1,2"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "seqdiff infer: the model produced non-finite item scores\n"

@@ -240,3 +240,47 @@ def test_train_mode_forward_needs_a_dropout_stream(approximator):
     with pytest.raises(ValueError, match="requires an rng"):
         model.forward(z, np.ones((1, 3)), train_mode=True)
     assert model.forward(z, np.ones((1, 3)), train_mode=False).shape == (1, cfg.dim)
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+@pytest.mark.parametrize("mask_row", [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                         ids=["hole", "left-padded"])
+def test_forward_rejects_masks_that_are_not_right_padded(approximator, mask_row):
+    # both forwards read the output at mask.sum(1) - 1, which is only the
+    # last valid position when padding comes last
+    cfg = tiny_config(approximator=approximator)
+    model = _random_model(cfg)
+    mask = np.array([[1.0, 1.0, 0.0], mask_row])
+    with pytest.raises(ValueError, match="row 1 .*right-padded"):
+        model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, train_mode=False)
+
+
+def _numpy_gru(params, z_seq, lengths):
+    """Plain per-row GRU over the valid prefix of each row; its last state."""
+    g = {k: t.data for k, t in params.gates.items()}
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
+    out = []
+    for z, length in zip(z_seq, lengths):
+        h = np.zeros(z.shape[-1])
+        for x in z[:length]:
+            r = sig(x @ g["wi_r"] + g["bi_r"] + h @ g["wh_r"] + g["bh_r"])
+            u = sig(x @ g["wi_z"] + g["bi_z"] + h @ g["wh_z"] + g["bh_z"])
+            cand = np.tanh(x @ g["wi_n"] + g["bi_n"] + r * (h @ g["wh_n"] + g["bh_n"]))
+            h = (1.0 - u) * cand + u * h
+        out.append(h)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+def test_gru_forward_matches_numpy_reference(train_mode):
+    cfg = tiny_config(approximator="gru", dropout_emb=0.0)
+    model = _random_model(cfg, seed=3)
+    gen = np.random.default_rng(5)
+    for gate in model.params.gates.values():  # nonzero biases, so each one counts
+        gate.data += gen.normal(scale=0.1, size=gate.shape)
+    lengths = np.array([4, 1, 3, 4])
+    mask = (np.arange(4) < lengths[:, None]).astype(float)
+    z = gen.normal(size=(4, 4, cfg.dim))
+    out = model.forward(Tensor(z), mask, train_mode, RngStream(0) if train_mode else None)
+    assert out.shape == (4, cfg.dim)
+    assert np.abs(out.data - _numpy_gru(model.params, z, lengths)).max() < 1e-12

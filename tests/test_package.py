@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import re
@@ -8,6 +9,7 @@ import seqdiff.tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 BENCH_RUN = TRACING.with_name("run.py")
+BENCH_TEST = TRACING.with_name("test_bench.py")
 
 
 def test_train_submodule_is_not_shadowed():
@@ -40,18 +42,29 @@ def test_every_package_name_the_bench_calls_exists():
     assert callable(seqdiff.tensor.default_dtype)
 
 
+def _bench_ops() -> dict[str, tuple[str, ...]]:
+    """The tensor ops perfbench/test_bench.py requires per approximator, read as literals."""
+    tree = ast.parse(BENCH_TEST.read_text())
+    ops = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+           if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+           and node.targets[0].id in ("GRU_OPS", "TRANSFORMER_OPS")}
+    return {"gru": ops["GRU_OPS"], "transformer": ops["TRANSFORMER_OPS"]}
+
+
 def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
     # A refactor that stops calling a hooked name (reverse_step no longer
     # going through posterior, say) reads 0 in that per-layer metric; only
-    # the minutes-long benchmark run would notice.
+    # the minutes-long benchmark run would notice. The same holds for a
+    # tensor op one approximator stops calling, or calls without a backward.
     from conftest import desk_config
 
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     sd = seqdiff  # looked up at call time, so the tracer's wrappers are what runs
-    with tracing.Tracer() as tracer:
-        for approximator in ("transformer", "gru"):
+    called, silent_ops = set(), {}
+    for approximator, ops in _bench_ops().items():
+        with tracing.Tracer() as tracer:
             cfg = desk_config(dim=8, blocks=1, heads=2, t=2, batch_size=16, epochs=1,
                               max_len=6, eval_every=1, approximator=approximator)
             dataset = sd.synth("markov", 30, 10, 6, 1)
@@ -62,5 +75,10 @@ def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
             sd.evaluate(scorer, test, seed=0)
             sd.infer(scorer, test[0].history, sd.RngStream(0))
             sd.uncertainty_probe(scorer, test[0].history, n_reverses=2, k=3)
-    called = {name for name, span in tracer.spans.items() if span.calls}
+        called |= {name for name, span in tracer.spans.items() if span.calls}
+        silent = [op for op in ops
+                  if not (tracer.spans[f"tensor.{op}"].calls and tracer.bwd_s[op] > 0)]
+        if silent:
+            silent_ops[approximator] = silent
     assert sorted(set(tracing.SPANS.values()) - called) == []
+    assert silent_ops == {}

@@ -11,10 +11,12 @@ from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
                                 load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 from seqdiff.data import Sample, synth
+from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
 from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rounding
 from seqdiff.model import Approximator, init_params
-from seqdiff.rng import RngStream
+from seqdiff.rng import RngStream, gaussian_rows
+from seqdiff.schedule import build_schedule
 from seqdiff.tensor import Tensor
 from seqdiff.train import adversarial_train, loss_batch, train
 
@@ -322,6 +324,39 @@ def test_oracle_reversal_ranks_oracle_item_first():
         for seed in (0, 1, 2):
             ranking = infer(scorer, [1, 2], RngStream(seed))
             assert ranking[0] == 3
+
+
+def test_fewer_reverse_steps_visit_only_trained_steps(monkeypatch):
+    # a t=8 model must see the noise levels and step encodings it was trained on
+    cfg = tiny_config(t=8)
+    model = Approximator(init_params(12, cfg, RngStream(4)), cfg)
+    seen = []
+    original = Approximator.reconstruct
+
+    def spy(self, hist, mask, x, steps, *args, **kwargs):
+        seen.append(np.unique(steps).tolist())
+        return original(self, hist, mask, x, steps, *args, **kwargs)
+
+    monkeypatch.setattr(Approximator, "reconstruct", spy)
+    DiffusionScorer(model, 4).represent_batch([[1, 2, 3], [4, 5, 6]],
+                                              [RngStream(0), RngStream(1)])
+    assert seen == [[8], [6], [4], [2]]
+
+
+def test_reverse_steps_equal_to_t_walk_the_trained_table():
+    cfg = tiny_config(t=8, delta=0.01)
+    model = Approximator(init_params(12, cfg, RngStream(4)), cfg)
+    got = DiffusionScorer(model, cfg.t).represent([1, 2, 3], RngStream(0))
+    # the plain reversal over steps t..1 of the trained schedule
+    schedule = build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a, cfg.schedule_b,
+                              cfg.schedule_tau, cfg.schedule_b_constant)
+    rngs = [RngStream(0)]
+    x = gaussian_rows(rngs, (cfg.dim,))
+    for s in range(cfg.t, 0, -1):
+        x0_hat = model.reconstruct(np.array([[1, 2, 3]]), np.ones((1, 3)), x,
+                                   np.full(1, s), rngs, train_mode=False).data
+        x = reverse_step(x, x0_hat, s, schedule, gaussian_rows(rngs, (cfg.dim,)))
+    assert got.tobytes() == x[0].tobytes()
 
 
 def test_non_finite_scores_are_refused():

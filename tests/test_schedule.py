@@ -5,7 +5,7 @@ import pytest
 
 from seqdiff.schedule import (KINDS, ScheduleValidityError, alpha_bar,
                               build_schedule, dump_schedule_csv, posterior,
-                              schedule_from_betas)
+                              respace, schedule_from_betas)
 
 
 def test_truncated_linear_hand_values():
@@ -203,3 +203,15 @@ def test_family_options_apply_only_to_truncated_linear(kind, option, value):
     with pytest.raises(ValueError, match=f"option {option}="):
         build_schedule(kind, t=32, **{option: value})
     build_schedule("truncated-linear", t=32, **{option: value})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_respaced_table_keeps_alpha_bar_at_the_visited_steps(kind):
+    sch = build_schedule(kind, t=32)
+    visited = np.array([4, 8, 16, 24, 32])
+    resp = respace(sch, visited)
+    assert resp.t == 5 and resp.kind == kind
+    # beta' near 1 loses digits in 1 - beta', hence not 1e-15
+    assert np.allclose(resp.alpha_bars, sch.alpha_bars[visited - 1], rtol=1e-10, atol=0)
+    # the last reverse step still collapses onto the clean estimate
+    assert (resp.coef_x0[0], resp.coef_xs[0], resp.beta_tilde[0]) == (1.0, 0.0, 0.0)

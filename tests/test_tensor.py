@@ -9,7 +9,8 @@ from seqdiff.rng import RngStream
 from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu,
-                            reshape, sigmoid, softmax, sum_all, tanh, transpose)
+                            reshape, sigmoid, softmax, stack, sum_all, tanh,
+                            transpose, unstack)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -165,6 +166,8 @@ def test_tape_clear_releases_intermediates():
     ("tanh", ((3, 5),)),
     ("transpose", ((2, 3, 4),)),
     ("reshape", ((3, 4),)),
+    ("unstack", ((2, 4, 3),)),
+    ("stack", ((2, 3), (2, 3))),
 ])
 def test_gradients_match_finite_differences(op, shapes):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -193,6 +196,11 @@ def test_gradients_match_finite_differences(op, shapes):
             out = transpose(tensors[0], (2, 0, 1))
         elif op == "reshape":
             out = reshape(tensors[0], (2, 6))
+        elif op == "unstack":
+            parts = unstack(tensors[0])  # parts 1 and 2 are off the loss path
+            out = add(mul(parts[0], parts[3]), parts[0])
+        elif op == "stack":
+            out = stack([tensors[0], tensors[1], tensors[0]])
         # weight the output so the pseudo-loss is not permutation-blind
         w = np.linspace(-1.0, 1.0, out.size).reshape(out.shape)
         return sum_all(mul(out, Tensor(w)))
@@ -249,6 +257,18 @@ def test_gather_rows_picks_and_scatters():
         backward(tape, sum_all(out))
     assert np.allclose(x.grad[0, 2], 1.0) and np.allclose(x.grad[1, 0], 1.0)
     assert x.grad.sum() == 8.0
+
+
+def test_unstack_and_stack_round_trip_with_zero_slots_off_the_loss_path():
+    x = Tensor(np.arange(24, dtype=float).reshape(2, 3, 4), requires_grad=True)
+    with Tape() as tape:
+        parts = unstack(x)
+        assert len(tape) == 1  # one node for every slice
+        assert [p.shape for p in parts] == [(2, 4)] * 3
+        assert np.array_equal(stack(parts).data, x.data)
+        backward(tape, sum_all(parts[2]))
+    assert np.array_equal(x.grad[:, 2], np.ones((2, 4)))
+    assert np.array_equal(x.grad[:, :2], np.zeros((2, 2, 4)))
 
 
 def test_dropout_eval_mode_is_identity():
