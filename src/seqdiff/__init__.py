@@ -12,7 +12,7 @@ from .config import TrainConfig, load_config, parse_config
 from .data import SequenceDataset, ingest, preprocess, split, synth
 from .diffusion import embed_to_x0, q_sample, reverse_step, sample_steps
 from .evaluate import PopularityScorer, evaluate, uncertainty_probe
-from .infer import build_scorer, infer, rounding
+from .infer import build_scorer, infer
 from .metrics import EvalReport, metric_single
 from .model import Approximator, init_params, mix, step_embedding_batch
 from .optim import Adam
@@ -30,7 +30,7 @@ __all__ = [
     "backward", "build_schedule", "build_scorer", "embed_to_x0", "evaluate",
     "infer", "ingest", "init_params", "load_checkpoint", "load_config",
     "loss_batch", "metric_single", "mix", "parse_config", "posterior",
-    "preprocess", "q_sample", "reverse_step", "rounding", "run_training",
+    "preprocess", "q_sample", "reverse_step", "run_training",
     "sample_steps", "save_checkpoint", "set_default_dtype", "split",
     "step_embedding_batch", "synth", "uncertainty_probe",
 ]

@@ -73,6 +73,8 @@ def _parse_sequence(text: str) -> list[int]:
 
 
 def _cmd_infer(args) -> int:
+    if args.topk < 1:
+        raise ValueError(f"top-k must be at least 1, got {args.topk}")
     ckpt = load_checkpoint(args.ckpt)
     scorer = build_scorer(ckpt, steps=args.steps)
     sequence = _parse_sequence(args.sequence)

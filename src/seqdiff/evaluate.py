@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .infer import Scorer, rank_items
+from .infer import ROWS_PER_CALL, Scorer, rank_items
 from .metrics import DEFAULT_KS, EvalReport, report_from_ranks
 from .rng import RngStream
 
@@ -34,12 +34,14 @@ class UncertaintyProbe:
     unique_item_count: int
 
 
-def target_rank(scores: np.ndarray, target: int) -> int:
-    """1-based rank of `target` under descending score, ties to lower index."""
-    s_t = scores[target]
-    higher = int(np.sum(scores > s_t))
-    tied_before = int(np.sum(scores[1:target] == s_t))
-    return 1 + higher + tied_before
+def target_rank(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's target in a (B, V+1) score block: 1 + the higher
+    scores + the ties in columns 1..target-1, so ties go to the lower index."""
+    targets = np.asarray(targets)
+    s_t = np.take_along_axis(scores, targets[:, None], axis=1)
+    before = np.arange(1, scores.shape[1]) < targets[:, None]
+    tied_before = np.sum((scores[:, 1:] == s_t) & before, axis=1)
+    return 1 + np.sum(scores > s_t, axis=1) + tied_before
 
 
 def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
@@ -49,18 +51,18 @@ def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
         raise ValueError("evaluation split is empty")
     vectors = scorer.represent_batch([s.history for s in samples],
                                      [rng_base.derive(i) for i in range(len(samples))])
-    records = []
-    for sample, vec in zip(samples, vectors):
-        scores = scorer.score_vector(vec)
+    ranks = []
+    for a in range(0, len(samples), ROWS_PER_CALL):
+        chunk = samples[a:a + ROWS_PER_CALL]
+        scores = scorer.score_vector(vectors[a:a + ROWS_PER_CALL])
         if mask_history:
-            seen = [it for it in set(sample.history) if it != sample.target]
+            seen = [(i, item) for i, s in enumerate(chunk)
+                    for item in s.history if item != s.target]
             if seen:
-                scores = scores.copy()
-                scores[seen] = -np.inf
-        records.append(RankRecord(target=sample.target,
-                                  rank=target_rank(scores, sample.target),
-                                  hist_len=len(sample.history)))
-    return records
+                scores[tuple(zip(*seen))] = -np.inf
+        ranks.extend(target_rank(scores, [s.target for s in chunk]).tolist())
+    return [RankRecord(target=s.target, rank=rank, hist_len=len(s.history))
+            for s, rank in zip(samples, ranks)]
 
 
 def evaluate(scorer: Scorer, samples: list[Sample], seed: int,
@@ -110,13 +112,16 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
     Returns the union size of the top-k lists plus the raw reversed vectors
     (one row per reversal), which downstream projection tools can consume.
     """
+    if n_reverses < 1:
+        raise ValueError(f"the probe needs at least 1 reversal, got {n_reverses}")
+    if k < 1:
+        raise ValueError(f"top-k must be at least 1, got {k}")
     vectors = scorer.represent_batch(
         [sequence] * n_reverses, [RngStream(base_seed + j) for j in range(n_reverses)])
-    union: set[int] = set()
-    for vec in vectors:
-        union.update(rank_items(scorer.score_vector(vec))[:k].tolist())
+    tops = [rank_items(scorer.score_vector(vectors[a:a + ROWS_PER_CALL]))[:, :k]
+            for a in range(0, n_reverses, ROWS_PER_CALL)]
     probe = UncertaintyProbe(n_reverses=n_reverses, k=k,
-                             unique_item_count=len(union))
+                             unique_item_count=len(np.unique(np.concatenate(tops))))
     return probe, vectors
 
 
@@ -136,7 +141,7 @@ class PopularityScorer(Scorer):
         # a read-only view: B rows of the one frequency vector take no memory
         return np.broadcast_to(self.freqs, (len(histories), len(self.freqs)))
 
-    def score_vector(self, vec: np.ndarray) -> np.ndarray:
-        scores = np.array(vec, dtype=float)
-        scores[0] = -np.inf
+    def score_vector(self, vecs: np.ndarray) -> np.ndarray:
+        scores = np.array(vecs, dtype=float)
+        scores[:, 0] = -np.inf
         return scores

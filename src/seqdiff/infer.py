@@ -1,13 +1,13 @@
-"""Inference: iterative reversal from noise and rounding to item indices.
+"""Inference: iterative reversal from noise, then scoring and ranking every item.
 
-Scorers share one contract: `represent_batch(histories, rngs)` produces one
-continuous target representation per history and stream (`represent` is the
-one-row case), and `score_vector` turns one into per-item scores by inner
-product against the embedding table (index 0, the padding row, is pinned to
--inf). The diffusion scorer reverses a Gaussian sample through the trained
-approximator; the next-item scorer (adversarial baseline) encodes the
-history once, deterministically. Histories run in unpadded groups of one
-length, so a row's bytes do not depend on the rows batched with it.
+Scorers share one contract: `represent_batch(histories, rngs)` gives a (B, dim)
+block, one target representation per history and stream (`represent` is the
+one-row case), and `score_vector` turns it into (B, V+1) item scores by inner
+product against the embedding table (column 0, padding, pinned to -inf). The
+diffusion scorer reverses a Gaussian sample through the trained approximator;
+the next-item scorer (adversarial baseline) encodes the history once. Rows run
+in unpadded groups of one length and each is scored by its own product, so a
+row's bytes do not depend on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -28,18 +28,8 @@ class HistoryError(ValueError):
 
 
 def rank_items(scores) -> np.ndarray:
-    """Items 1..V by descending score, ties to the lower index; padding (0) left out."""
-    return np.argsort(-np.asarray(scores)[1:], kind="stable") + 1
-
-
-def rounding(x_0: np.ndarray, item_embeddings: np.ndarray) -> list[int]:
-    """Rank every item by descending inner product with x_0.
-
-    The padding row is excluded; ties break toward the smaller item index.
-    """
-    if not np.all(np.isfinite(x_0)):
-        raise ValueError("x_0 must be finite")
-    return rank_items(item_embeddings @ x_0.reshape(-1)).tolist()
+    """Items 1..V by descending score (last axis), ties to the lower index; no padding (0)."""
+    return np.argsort(-np.asarray(scores)[..., 1:], axis=-1, kind="stable") + 1
 
 
 class Scorer:
@@ -50,16 +40,12 @@ class Scorer:
     def represent(self, history, rng: RngStream) -> np.ndarray:
         raise NotImplementedError
 
-    def represent_batch(self, histories, rngs) -> np.ndarray:
-        """One representation per history, as rows of a (B, dim) array."""
-        return np.array([self.represent(h, r) for h, r in zip(histories, rngs)])
-
-    def score_vector(self, vec: np.ndarray) -> np.ndarray:
-        """(dim,) representation -> (n_items + 1,) scores, index 0 = -inf."""
+    def score_vector(self, vecs: np.ndarray) -> np.ndarray:
+        """(B, dim) representations -> fresh (B, n_items + 1) scores, column 0 = -inf."""
         raise NotImplementedError
 
     def score(self, history, rng: RngStream) -> np.ndarray:
-        return self.score_vector(self.represent(history, rng))
+        return self.score_vector(self.represent(history, rng)[None])[0]
 
 
 class _EmbeddingScorer(Scorer):
@@ -67,11 +53,14 @@ class _EmbeddingScorer(Scorer):
         self.model = model
         self.n_items = model.params.vocab_size
 
-    def score_vector(self, vec: np.ndarray) -> np.ndarray:
-        scores = self.model.params.item_emb.data @ np.asarray(vec).reshape(-1)
-        if not np.all(np.isfinite(scores[1:])):
+    def score_vector(self, vecs: np.ndarray) -> np.ndarray:
+        # One product per row: in a single (B, dim) @ (dim, V+1) gemm a row's
+        # bytes depend on B unless V+1 is a multiple of 8.
+        vecs = np.ascontiguousarray(vecs)
+        scores = np.matmul(self.model.params.item_emb.data, vecs[:, :, None])[:, :, 0]
+        if not np.all(np.isfinite(scores[:, 1:])):
             raise ValueError("the model produced non-finite item scores")
-        scores[0] = -np.inf
+        scores[:, 0] = -np.inf
         return scores
 
     def _history(self, history) -> np.ndarray:
@@ -154,6 +143,8 @@ class NextItemScorer(_EmbeddingScorer):
 def build_scorer(ckpt: ModelCheckpoint, steps: int | None = None) -> Scorer:
     model = model_from_checkpoint(ckpt)
     if ckpt.config.mode == "adversarial":
+        if steps is not None:
+            raise ValueError("reverse steps (--steps) apply only to diffusion checkpoints")
         return NextItemScorer(model)
     return DiffusionScorer(model, steps)
 

@@ -23,7 +23,7 @@ _TAPE_STACK: list["Tape"] = []
 
 
 def set_default_dtype(dtype) -> None:
-    """Select float64 (default; used by all tests) or float32 (speed mode)."""
+    """Select float64 (the default) or float32 for the tensors made from now on."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -179,6 +179,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)  # a NumPy float64 scalar would promote float32 data
     out = Tensor(a.data * c)
     if _tracked(a):
         _record(out, (a,), lambda g: (g * c,))
@@ -393,7 +394,7 @@ def dropout(x: Tensor, p: float, rng: RngStream, train: bool) -> Tensor:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    mask = (rng.uniform(x.shape) >= p) / (1.0 - p)
+    mask = ((rng.uniform(x.shape) >= p) / (1.0 - p)).astype(_DEFAULT_DTYPE, copy=False)
     out = Tensor(x.data * mask)
     if _tracked(x):
         _record(out, (x,), lambda g: (g * mask,))

@@ -51,16 +51,44 @@ def test_each_row_matches_the_row_scored_alone(approximator, scorer_cls, batch):
             assert row.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
-def test_each_gru_row_matches_the_row_scored_alone_at_dim_128(scorer_cls):
-    # wider rows take other BLAS kernels than dim 16
-    scorer = scorer_cls(_model("gru", dim=128))
+def _assert_gru_rows_match_alone(scorer_cls, dim):
+    scorer = scorer_cls(_model("gru", dim=dim))
     hists = _histories()
     alone = [scorer.represent(h, r) for h, r in zip(hists, _streams(len(hists)))]
     got = scorer.represent_batch(hists, _streams(len(hists)))
-    assert got.shape == (len(hists), 128)
+    assert got.shape == (len(hists), dim)
     for row, want in zip(got, alone):
         assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
+def test_each_gru_row_matches_the_row_scored_alone_at_dim_128(scorer_cls):
+    # wider rows take other BLAS kernels than dim 16
+    _assert_gru_rows_match_alone(scorer_cls, 128)
+
+
+@pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
+def test_each_gru_row_matches_the_row_scored_alone_at_dim_100(scorer_cls):
+    # in a (B, dim) @ (dim, N) gemm a row's bytes depend on B when N is not a
+    # multiple of 8, so dim 100 catches eval rows that take that product
+    _assert_gru_rows_match_alone(scorer_cls, 100)
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_each_score_row_matches_the_row_scored_alone(approximator):
+    # V+1 = 31 is not a multiple of 8, where one (B, dim) gemm is not batch-invariant
+    scorer = NextItemScorer(_model(approximator))
+    hists = _histories()
+    vecs = scorer.represent_batch(hists, _streams(len(hists)))
+    table = scorer.model.params.item_emb.data
+    for size in (1, 2, 5, len(vecs)):
+        for a in range(0, len(vecs), size):
+            block = scorer.score_vector(vecs[a:a + size])
+            assert block.shape == (len(vecs[a:a + size]), N_ITEMS + 1)
+            for vec, row in zip(vecs[a:a + size], block):
+                alone = table @ vec  # the one-row product
+                alone[0] = -np.inf
+                assert row.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])

@@ -136,7 +136,8 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
 
 
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
-                                   "bad-sequence", "missing-data", "steps-above-t"])
+                                   "bad-sequence", "missing-data", "steps-above-t",
+                                   "infer-topk-negative", "probe-n-negative", "probe-topk-0"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, capsys):
     ckpt_path = tmp_path / "bad.ckpt"
     if fault == "truncated-ckpt":
@@ -156,12 +157,43 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
         argv[-1] = "1,x"
     elif fault == "missing-data":
         argv = ["baseline", "--data", str(tmp_path / "nodir")]
+    elif fault == "infer-topk-negative":
+        argv += ["--topk", "-3"]
+    elif fault.startswith("probe"):
+        argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
+        argv += ["--n", "-5"] if fault == "probe-n-negative" else ["--topk", "0"]
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff {argv[0]}: ")
+    assert not (tmp_path / "probe.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "probe"])
+def test_steps_on_an_adversarial_checkpoint_is_one_line_and_exit_2(
+        tmp_path, synth_dir, command, capsys):
+    cfg = desk_config(dim=16, blocks=1, heads=2, t=4, batch_size=32, epochs=1,
+                      max_len=8, eval_every=0, mode="adversarial")
+    cfg_path = tmp_path / "adv.cfg"
+    cfg_path.write_text(format_config(cfg))
+    ckpt_path = tmp_path / "adv.ckpt"
+    assert main(["train", "--data", str(synth_dir), "--config", str(cfg_path),
+                 "--out", str(ckpt_path)]) == 0
+    argv = [command, "--ckpt", str(ckpt_path), "--steps", "99"]
+    if command == "eval":
+        argv += ["--data", str(synth_dir)]
+    else:
+        argv += ["--sequence", "1,2"]
+    if command == "probe":
+        argv += ["--out", str(tmp_path / "probe.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"seqdiff {command}: reverse steps (--steps) apply only "
+                            f"to diffusion checkpoints\n")
 
 
 def test_schedule_option_of_another_family_is_one_line_and_exit_2(tmp_path, capsys):

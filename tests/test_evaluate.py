@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from seqdiff.evaluate import (PopularityScorer, RankRecord, evaluate,
                               head_items, head_tail_report,
                               length_bucket_report, rank_records, target_rank,
                               uncertainty_probe)
-from seqdiff.infer import DiffusionScorer, Scorer, infer, rank_items
+from seqdiff.infer import DiffusionScorer, NextItemScorer, Scorer, infer, rank_items
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
+
+evaluate_mod = importlib.import_module("seqdiff.evaluate")
 
 
 class FixedVectorScorer(Scorer):
@@ -23,9 +27,12 @@ class FixedVectorScorer(Scorer):
     def represent(self, history, rng):
         return self.vec
 
-    def score_vector(self, vec):
-        scores = self.table @ np.asarray(vec)
-        scores[0] = -np.inf
+    def represent_batch(self, histories, rngs):
+        return np.tile(self.vec, (len(histories), 1))
+
+    def score_vector(self, vecs):
+        scores = np.asarray(vecs) @ self.table.T
+        scores[:, 0] = -np.inf
         return scores
 
 
@@ -40,11 +47,70 @@ def _oracle_scorer(item, n=6):
 
 
 def test_target_rank_counts_higher_and_tied_lower_indices():
-    scores = np.array([-np.inf, 3.0, 5.0, 3.0, 1.0])
-    assert target_rank(scores, 2) == 1
-    assert target_rank(scores, 1) == 2  # tied with item 3, lower index wins
-    assert target_rank(scores, 3) == 3
-    assert target_rank(scores, 4) == 4
+    scores = np.tile([-np.inf, 3.0, 5.0, 3.0, 1.0], (4, 1))
+    # item 1 is tied with item 3: the lower index wins
+    assert target_rank(scores, [2, 1, 3, 4]).tolist() == [1, 2, 3, 4]
+
+
+def test_target_rank_is_one_plus_the_position_in_rank_items():
+    rng = np.random.default_rng(11)
+    scores = rng.integers(0, 4, size=(40, 13)).astype(float)  # many ties
+    scores[:, 0] = -np.inf
+    targets = rng.integers(1, 13, size=40)
+    position = np.argmax(rank_items(scores) == targets[:, None], axis=1)
+    assert target_rank(scores, targets).tolist() == (1 + position).tolist()
+
+
+def _reference_rank_records(scorer, samples, rng_base, mask_history):
+    """The per-row loop: represent, score, mask and rank one sample at a time."""
+    records = []
+    for i, sample in enumerate(samples):
+        vec = scorer.represent(sample.history, rng_base.derive(i))
+        if isinstance(scorer, PopularityScorer):
+            scores = np.array(vec, dtype=float)
+        else:
+            scores = scorer.model.params.item_emb.data @ vec
+        scores[0] = -np.inf
+        if mask_history:
+            scores[[it for it in set(sample.history) if it != sample.target]] = -np.inf
+        s_t = scores[sample.target]
+        rank = 1 + int(np.sum(scores > s_t)) + int(np.sum(scores[1:sample.target] == s_t))
+        records.append(RankRecord(target=sample.target, rank=rank,
+                                  hist_len=len(sample.history)))
+    return records
+
+
+def _repeating_samples(n_items, n=23):
+    # half the rows draw from items 1..5, so histories repeat items and
+    # often hold their own target; lengths past max_len = 8 are truncated
+    rng = np.random.default_rng(21)
+    samples = []
+    for i in range(n):
+        top = 5 if i % 2 else n_items
+        hist = rng.integers(1, top + 1, size=int(rng.integers(1, 11)))
+        samples.append(Sample(tuple(int(x) for x in hist), int(rng.integers(1, top + 1))))
+    return samples
+
+
+@pytest.mark.parametrize("mask_history", [False, True])
+@pytest.mark.parametrize("scorer_kind", ["diffusion-transformer", "diffusion-gru",
+                                         "adversarial-transformer", "adversarial-gru",
+                                         "popularity"])
+def test_rank_records_equals_the_per_row_reference(scorer_kind, mask_history, monkeypatch):
+    n_items = 30
+    if scorer_kind == "popularity":
+        freqs = np.random.default_rng(5).integers(0, 4, size=n_items + 1).astype(float)
+        scorer = PopularityScorer(freqs)
+    else:
+        mode, approximator = scorer_kind.split("-")
+        cfg = desk_config(dim=16, blocks=1, heads=2, t=4, max_len=8,
+                          approximator=approximator)
+        model = Approximator(init_params(n_items, cfg, RngStream(2)), cfg)
+        scorer = DiffusionScorer(model) if mode == "diffusion" else NextItemScorer(model)
+    samples = _repeating_samples(n_items)
+    monkeypatch.setattr(evaluate_mod, "ROWS_PER_CALL", 5)  # chunks of 5, 5, ..., 3
+    got = rank_records(scorer, samples, RngStream(8), mask_history)
+    assert got == _reference_rank_records(scorer, samples, RngStream(8), mask_history)
 
 
 def test_oracle_scorer_gets_perfect_metrics():

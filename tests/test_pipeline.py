@@ -13,7 +13,7 @@ from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
 from seqdiff.data import Sample, synth
 from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
-from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rounding
+from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rank_items
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream, gaussian_rows
 from seqdiff.schedule import build_schedule
@@ -83,6 +83,15 @@ def _orthonormal_table(n):
     return table
 
 
+def rounding(x_0, table):
+    """Every item ranked by inner product with x_0, by a scorer whose item table is `table`."""
+    cfg = desk_config(dim=table.shape[1], blocks=1, heads=1, t=2)
+    params = init_params(len(table) - 1, cfg, RngStream(0))
+    params.item_emb.data = np.asarray(table, dtype=float)
+    scorer = NextItemScorer(Approximator(params, cfg))
+    return rank_items(scorer.score_vector(x_0[None]))[0].tolist()
+
+
 def test_rounding_matches_basis_vector():
     ranking = rounding(np.eye(4)[2], _orthonormal_table(4))
     assert ranking[0] == 3
@@ -91,8 +100,8 @@ def test_rounding_matches_basis_vector():
 
 def test_rounding_scale_invariant():
     rng = np.random.default_rng(1)
-    table = rng.normal(size=(9, 5))
-    x0 = rng.normal(size=5)
+    table = rng.normal(size=(9, 6))  # an even dim, as the model requires
+    x0 = rng.normal(size=6)
     base = rounding(x0, table)
     for c in (0.1, 3.0, 1e6):
         assert rounding(c * x0, table) == base
@@ -471,9 +480,18 @@ def test_gru_approximator_trains_end_to_end():
     assert any(name.startswith("gru.") for name in result.checkpoint.tensors)
 
 
-def test_float32_mode_trains_and_stores_float32():
+def test_float32_mode_trains_and_stores_float32(monkeypatch):
     import seqdiff
+    from seqdiff.optim import Adam
 
+    grad_dtypes = []
+    original = Adam.step
+
+    def spying(self):
+        grad_dtypes.extend(p.grad.dtype for p in self.params if p.grad is not None)
+        original(self)
+
+    monkeypatch.setattr(Adam, "step", spying)
     seqdiff.set_default_dtype("float32")
     try:
         result = train(tiny_dataset(users=40, length=6), tiny_config(epochs=1))
@@ -481,6 +499,8 @@ def test_float32_mode_trains_and_stores_float32():
         assert np.isfinite(result.epoch_losses[-1])
     finally:
         seqdiff.set_default_dtype("float64")
+    # a float64 gradient would promote Adam's update of a float32 parameter
+    assert grad_dtypes and set(grad_dtypes) == {np.dtype(np.float32)}
 
 
 def test_padding_embedding_row_never_updated():
