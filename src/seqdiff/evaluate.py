@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .infer import ROWS_PER_CALL, Scorer, rank_items
+from .infer import ROWS_PER_CALL, Scorer, check_items, rank_items
 from .metrics import DEFAULT_KS, EvalReport, report_from_ranks
 from .rng import RngStream
 
@@ -46,9 +46,17 @@ def target_rank(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
                  mask_history: bool = False) -> list[RankRecord]:
-    """Rank each sample's target in one batch; sample i uses rng_base.derive(i)."""
+    """Rank each sample's target in one batch; sample i uses rng_base.derive(i).
+
+    `mask_history` drops every item of the full history (not only the
+    scorer's truncation window) from the candidates, so each must be in
+    [1, n_items].
+    """
     if not samples:
         raise ValueError("evaluation split is empty")
+    if mask_history:
+        for s in samples:
+            check_items(s.history, scorer.n_items)
     vectors = scorer.represent_batch([s.history for s in samples],
                                      [rng_base.derive(i) for i in range(len(samples))])
     ranks = []

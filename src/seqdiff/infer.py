@@ -27,6 +27,14 @@ class HistoryError(ValueError):
     """A history the model cannot score: empty, or an item outside the vocabulary."""
 
 
+def check_items(history, n_items: int) -> None:
+    """Raise HistoryError naming the first item of `history` outside [1, n_items]."""
+    hist = np.asarray(history)
+    bad = hist[(hist < 1) | (hist > n_items)]
+    if bad.size:
+        raise HistoryError(f"history item {bad[0]} is outside [1, {n_items}]")
+
+
 def rank_items(scores) -> np.ndarray:
     """Items 1..V by descending score (last axis), ties to the lower index; no padding (0)."""
     return np.argsort(-np.asarray(scores)[..., 1:], axis=-1, kind="stable") + 1
@@ -67,9 +75,7 @@ class _EmbeddingScorer(Scorer):
         hist = np.asarray(list(history), dtype=int)[-self.model.cfg.max_len:]
         if hist.size == 0:
             raise HistoryError("history is empty after truncation")
-        bad = hist[(hist < 1) | (hist > self.n_items)]
-        if bad.size:
-            raise HistoryError(f"history item {bad[0]} is outside [1, {self.n_items}]")
+        check_items(hist, self.n_items)
         return hist
 
     def represent_batch(self, histories, rngs) -> np.ndarray:

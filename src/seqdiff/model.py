@@ -21,9 +21,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
-from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows,
+from .tensor import (Tensor, add, concat, dropout, embedding_lookup, gather_rows,
                      layer_norm, matmul, mul, neg, relu, reshape, scale, sigmoid,
-                     softmax, stack, tanh, transpose, unstack)
+                     softmax, split, stack, tanh, transpose, unstack)
 
 _NEG_INF = -1e9
 
@@ -202,13 +202,14 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
     """Single-layer gated recurrence; returns the state at the last valid position.
 
     The input side of each gate, z @ wi + bi, is computed for all n positions
-    before the loop (one (n, dim) product per row), so the loop holds only
-    the h-side products. The loop runs over padded positions too; with right
-    padding, the state at position mask.sum(1) - 1 is picked, as in
-    `transformer_forward`. In eval mode every row runs as a (1, dim) state,
-    so each h-side product is one vector-matrix product per row: a row's
-    bytes then do not depend on its batch. Training runs the whole batch as
-    one (B, dim) state.
+    before the loop (one (n, dim) product per row). The loop holds one h-side
+    product per position: h @ [wh_r | wh_z | wh_n] + [bh_r | bh_z | bh_n],
+    split into the three gates' parts. The loop runs over padded positions
+    too; with right padding, the state at position mask.sum(1) - 1 is picked,
+    as in `transformer_forward`. In eval mode every row runs as a (1, dim)
+    state, so the h-side product is one vector-matrix product per row: a
+    row's bytes then do not depend on its batch. Training runs the whole
+    batch as one (B, dim) state.
     """
     b, n, dim = z_seq.shape
     _, last = _check_mask(padding_mask, b, n)
@@ -221,12 +222,15 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         return unstack(x if train_mode else reshape(x, (b, n, 1, dim)))
 
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
+    wh = concat([g[f"wh_{gate}"] for gate in _GRU_GATES], axis=1)
+    bh = concat([g[f"bh_{gate}"] for gate in _GRU_GATES], axis=0)
     h = Tensor(np.zeros(rows))
     states = []
     for i in range(n):
-        r = sigmoid(add(xr[i], add(matmul(h, g["wh_r"]), g["bh_r"])))
-        u = sigmoid(add(xz[i], add(matmul(h, g["wh_z"]), g["bh_z"])))
-        cand = tanh(add(xn[i], mul(r, add(matmul(h, g["wh_n"]), g["bh_n"]))))
+        hr, hz, hn = split(add(matmul(h, wh), bh), (dim, dim, dim))
+        r = sigmoid(add(xr[i], hr))
+        u = sigmoid(add(xz[i], hz))
+        cand = tanh(add(xn[i], mul(r, hn)))
         h = add(cand, mul(u, add(h, neg(cand))))
         states.append(h)
     out = gather_rows(stack(states), last)

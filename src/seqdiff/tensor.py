@@ -46,7 +46,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        if not arr.flags["C_CONTIGUOUS"]:
+        if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = requires_grad
@@ -80,7 +80,7 @@ class Tape:
     """
 
     def __init__(self):
-        # (output, inputs, backward); the output is a tuple for `unstack`
+        # (output, inputs, backward); the output is a tuple for `unstack` and `split`
         self._nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
@@ -201,12 +201,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes must match or be absent."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeMismatchError(f"leading dimensions disagree: {a.shape} @ {b.shape}")
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a_shape} @ {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeMismatchError(f"inner dimensions disagree: {a_shape} @ {b_shape}")
+    if len(a_shape) > 2 and len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2]:
+        raise ShapeMismatchError(f"leading dimensions disagree: {a_shape} @ {b_shape}")
     out = Tensor(a.data @ b.data)
     if _tracked(a, b):
         a_data, b_data = a.data, b.data
@@ -245,8 +246,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # clip keeps exp in range; the output is already saturated beyond +/-500
-    y = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500.0, 500.0)))
+    # clamping keeps exp in range; the output is already saturated beyond +/-500.
+    # np.minimum(np.maximum(...)) gives np.clip's bytes without its wrapper's cost.
+    y = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(a.data, -500.0), 500.0)))
     out = Tensor(y)
     if _tracked(a):
         _record(out, (a,), lambda g: (g * y * (1.0 - y),))
@@ -293,9 +295,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is the reduction and division np.mean runs, without its wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
@@ -386,6 +389,46 @@ def stack(tensors: list[Tensor]) -> Tensor:
         n = len(tensors)
         _record(out, tuple(tensors), lambda g: tuple(g[:, i] for i in range(n)))
     return out
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """Join tensors along `axis`; the backward hands each input a view of the gradient."""
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    if _tracked(*tensors):
+        lead = (slice(None),) * (axis % out.ndim)
+        slices, start = [], 0
+        for t in tensors:
+            slices.append(lead + (slice(start, start + t.shape[axis]),))
+            start += t.shape[axis]
+        _record(out, tuple(tensors), lambda g: tuple(g[s] for s in slices))
+    return out
+
+
+def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
+    """Cut the last axis of x into consecutive parts of the given sizes.
+
+    One tape node covers every part, as in `unstack`; its backward joins the
+    part gradients in one concatenate, with zeros for parts off the loss path.
+    """
+    data = x.data
+    if sum(sizes) != data.shape[-1]:
+        raise ShapeMismatchError(
+            f"split sizes {sizes} do not add up to the last axis {data.shape[-1]}")
+    parts, start = [], 0
+    for k in sizes:
+        parts.append(Tensor(data[..., start:start + k]))
+        start += k
+    if _tracked(x):
+        lead, dtype = data.shape[:-1], data.dtype
+
+        def bwd(gs):
+            return (np.concatenate([np.zeros(lead + (k,), dtype=dtype) if g is None else g
+                                    for k, g in zip(sizes, gs)], axis=-1),)
+
+        for o in parts:
+            o.requires_grad = True
+        _TAPE_STACK[-1]._nodes.append((tuple(parts), (x,), bwd))
+    return parts
 
 
 def dropout(x: Tensor, p: float, rng: RngStream, train: bool) -> Tensor:

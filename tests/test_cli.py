@@ -100,6 +100,26 @@ def test_eval_mask_history_flag(synth_dir, trained_ckpt):
                  "--mask-history"]) == 0
 
 
+def test_eval_mask_history_rejects_an_unknown_item_before_the_window(tmp_path, trained_ckpt,
+                                                                    capsys):
+    # item 20 is in this vocabulary but not the checkpoint's 15; every history
+    # keeps it ahead of its last max_len = 8 items
+    data = tmp_path / "wide"
+    data.mkdir()
+    (data / "vocab.tsv").write_text("".join(f"{i}\titem{i}\n" for i in range(1, 21)))
+    (data / "sequences.txt").write_text(
+        "".join("20 " + " ".join(str((u + j) % 15 + 1) for j in range(12)) + "\n"
+                for u in range(6)))
+    argv = ["eval", "--ckpt", str(trained_ckpt), "--data", str(data), "--split", "test",
+            "--steps", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--mask-history"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "history item 20" in captured.err
+
+
 def test_probe_command(tmp_path, trained_ckpt, capsys):
     out = tmp_path / "probe.csv"
     assert main(["probe", "--ckpt", str(trained_ckpt), "--sequence", "1,2,3",

@@ -9,7 +9,8 @@ from seqdiff.evaluate import (PopularityScorer, RankRecord, evaluate,
                               head_items, head_tail_report,
                               length_bucket_report, rank_records, target_rank,
                               uncertainty_probe)
-from seqdiff.infer import DiffusionScorer, NextItemScorer, Scorer, infer, rank_items
+from seqdiff.infer import (DiffusionScorer, HistoryError, NextItemScorer, Scorer, infer,
+                           rank_items)
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
 
@@ -164,6 +165,16 @@ def test_mask_history_excludes_seen_items_but_not_target():
     repeat = rank_records(scorer, [Sample((2, 3), 2)], RngStream(0),
                           mask_history=True)
     assert repeat[0].rank == 1  # the target itself is never masked
+
+
+@pytest.mark.parametrize("item", [99, -1, 0])
+def test_mask_history_rejects_an_unknown_item_before_the_window(item):
+    cfg = desk_config(dim=16, blocks=1, heads=2, t=2, max_len=10)
+    scorer = DiffusionScorer(Approximator(init_params(50, cfg, RngStream(4)), cfg))
+    sample = Sample((item,) + (1,) * 12, 2)  # the window holds only the 1s
+    assert rank_records(scorer, [sample], RngStream(0))[0].rank >= 1
+    with pytest.raises(HistoryError, match=f"history item {item} is outside"):
+        rank_records(scorer, [sample], RngStream(0), mask_history=True)
 
 
 def test_head_items_top_fifth_with_index_ties():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,10 @@ from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.model import (Approximator, GruParams, TransformerParams,
                            init_params, mix, step_embedding_batch)
 from seqdiff.rng import RngStream
-from seqdiff.tensor import Tape, Tensor, backward, mul, sum_all
+from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, neg, sigmoid,
+                            sum_all, tanh)
+
+model_mod = importlib.import_module("seqdiff.model")
 
 
 def tiny_config(**overrides):
@@ -284,3 +288,51 @@ def test_gru_forward_matches_numpy_reference(train_mode):
     out = model.forward(Tensor(z), mask, train_mode, RngStream(0) if train_mode else None)
     assert out.shape == (4, cfg.dim)
     assert np.abs(out.data - _numpy_gru(model.params, z, lengths)).max() < 1e-12
+
+
+def _per_gate_gru_eval(params, z_seq):
+    """Eval-mode GRU with one h-side product per gate, on (B, 1, dim) rows."""
+    g = params.gates
+    b, n, dim = z_seq.shape
+    x = {gate: add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"]).data.reshape(b, n, 1, dim)
+         for gate in ("r", "z", "n")}
+    h = Tensor(np.zeros((b, 1, dim)))
+    for i in range(n):
+        def h_side(gate):
+            return add(matmul(h, g[f"wh_{gate}"]), g[f"bh_{gate}"])
+
+        r = sigmoid(add(Tensor(x["r"][:, i]), h_side("r")))
+        u = sigmoid(add(Tensor(x["z"][:, i]), h_side("z")))
+        cand = tanh(add(Tensor(x["n"][:, i]), mul(r, h_side("n"))))
+        h = add(cand, mul(u, add(h, neg(cand))))
+    return h.data.reshape(b, dim)
+
+
+@pytest.mark.parametrize("dim", [32, 100, 128])
+def test_fused_h_side_product_has_the_bytes_of_the_per_gate_products(dim):
+    cfg = desk_config(dim=dim, approximator="gru", max_len=8)
+    model = _random_model(cfg, seed=6)
+    gen = np.random.default_rng(dim)
+    for gate in model.params.gates.values():
+        gate.data += gen.normal(scale=0.1, size=gate.shape)
+    z = Tensor(gen.normal(size=(3, 6, dim)))
+    out = model.forward(z, np.ones((3, 6)), train_mode=False)
+    assert out.data.tobytes() == _per_gate_gru_eval(model.params, z).tobytes()
+
+
+def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
+    # per position: one h-side product, two gate sigmoids and one tanh;
+    # before the loop: the three input-side products
+    cfg = tiny_config(approximator="gru")
+    model = _random_model(cfg)
+    calls = {}
+    for op in ("matmul", "sigmoid", "tanh"):
+        def counted(*args, _op=op, _fn=getattr(model_mod, op)):
+            calls[_op] = calls.get(_op, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(model_mod, op, counted)
+    n = 5
+    hist = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+    model.reconstruct(hist, np.ones((2, n)), np.zeros((2, cfg.dim)), [3, 3],
+                      [RngStream(1), RngStream(2)], train_mode=False)
+    assert calls == {"matmul": 3 + n, "sigmoid": 2 * n, "tanh": n}

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
+from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward, concat,
                             cross_entropy_rows, dropout, embedding_lookup,
-                            gather_rows, layer_norm, matmul, mul, relu,
-                            reshape, sigmoid, softmax, stack, sum_all, tanh,
-                            transpose, unstack)
+                            gather_rows, layer_norm, matmul, mul, relu, reshape,
+                            set_default_dtype, sigmoid, softmax, split, stack,
+                            sum_all, tanh, transpose, unstack)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -168,6 +168,9 @@ def test_tape_clear_releases_intermediates():
     ("reshape", ((3, 4),)),
     ("unstack", ((2, 4, 3),)),
     ("stack", ((2, 3), (2, 3))),
+    ("concat", ((2, 3), (2, 4))),
+    ("concat_axis0", ((3,), (2,))),
+    ("split", ((2, 1, 7),)),
 ])
 def test_gradients_match_finite_differences(op, shapes):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -201,6 +204,13 @@ def test_gradients_match_finite_differences(op, shapes):
             out = add(mul(parts[0], parts[3]), parts[0])
         elif op == "stack":
             out = stack([tensors[0], tensors[1], tensors[0]])
+        elif op == "concat":
+            out = concat([tensors[0], tensors[1], tensors[0]], axis=1)
+        elif op == "concat_axis0":
+            out = concat([tensors[0], tensors[1]], axis=0)
+        elif op == "split":
+            parts = split(tensors[0], (2, 3, 2))  # part 1 is off the loss path
+            out = add(mul(parts[0], parts[2]), parts[0])
         # weight the output so the pseudo-loss is not permutation-blind
         w = np.linspace(-1.0, 1.0, out.size).reshape(out.shape)
         return sum_all(mul(out, Tensor(w)))
@@ -269,6 +279,57 @@ def test_unstack_and_stack_round_trip_with_zero_slots_off_the_loss_path():
         backward(tape, sum_all(parts[2]))
     assert np.array_equal(x.grad[:, 2], np.ones((2, 4)))
     assert np.array_equal(x.grad[:, :2], np.zeros((2, 2, 4)))
+
+
+def test_concat_and_split_round_trip_with_zeros_off_the_loss_path():
+    a = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.arange(4, dtype=float).reshape(2, 2), requires_grad=True)
+    with Tape() as tape:
+        x = concat([a, b], axis=1)
+        assert np.array_equal(x.data, np.concatenate([a.data, b.data], axis=1))
+        parts = split(x, (1, 2, 2))
+        assert len(tape) == 2  # one node for the join, one for every part
+        assert [p.shape for p in parts] == [(2, 1), (2, 2), (2, 2)]
+        assert np.array_equal(np.concatenate([p.data for p in parts], axis=1), x.data)
+        backward(tape, sum_all(parts[2]))
+    assert np.array_equal(a.grad, np.zeros((2, 3)))
+    assert np.array_equal(b.grad, np.ones((2, 2)))
+
+
+def test_split_sizes_must_cover_the_last_axis():
+    with pytest.raises(ShapeMismatchError, match="do not add up"):
+        split(Tensor(np.zeros((2, 5))), (2, 2))
+
+
+_EXTREMES = np.array([-1000.0, 1000.0, -500.0, 500.0, -499.9, 0.0, -0.0, 1e-300, -36.5])
+
+
+def test_sigmoid_has_the_bytes_of_the_np_clip_formula():
+    x = np.concatenate([_EXTREMES, np.linspace(-1000.0, 1000.0, 801),
+                        np.random.default_rng(4).normal(scale=20.0, size=200)])
+    clipped = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    assert sigmoid(Tensor(x)).data.tobytes() == clipped.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [8, 32, 100])
+def test_layer_norm_has_the_bytes_of_the_np_mean_formula(d, dtype):
+    gen = np.random.default_rng(d)
+    rows = gen.normal(scale=3.0, size=(6, d))
+    rows[0, : len(_EXTREMES[:d])] = _EXTREMES[:d]
+    rows[1] = 1000.0
+    set_default_dtype(dtype)
+    try:
+        x = Tensor(rows.reshape(2, 3, d))
+        gain, bias = Tensor(gen.normal(size=d)), Tensor(gen.normal(size=d))
+        mu = x.data.mean(axis=-1, keepdims=True)
+        xc = x.data - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        expected = xc * inv * gain.data + bias.data
+        assert expected.dtype == dtype
+        assert layer_norm(x, gain, bias).data.tobytes() == expected.tobytes()
+    finally:
+        set_default_dtype(np.float64)
 
 
 def test_dropout_eval_mode_is_identity():
