@@ -6,7 +6,6 @@ Subcommands: preprocess, synth, schedule-dump, train, infer, eval, probe.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .infer import build_scorer, rank_items
 from .metrics import report_csv_rows, report_from_ranks, report_table
 from .rng import RngStream
 from .schedule import build_schedule, dump_schedule_csv
-from .train import run_training
+from .train import TrainingDivergedError, run_training
 
 
 def _cmd_preprocess(args) -> int:
@@ -211,19 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Commands whose item scores `score_vector` checks for finiteness: an overflow
-# inside the model ends in that check's one-line error, not in numpy warnings.
-_SCORING = ("infer", "eval", "probe")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    quiet = (np.errstate(over="ignore", invalid="ignore", divide="ignore")
-             if args.command in _SCORING else contextlib.nullcontext())
+    # Overflow inside a model ends in the one-line error of the check that
+    # catches it (non-finite item scores, a diverged loss), not in numpy warnings.
     try:
-        with quiet:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ValueError, OSError, CheckpointError) as exc:
+    except (ValueError, OSError, CheckpointError, TrainingDivergedError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -56,16 +56,24 @@ class TrainConfig:
             raise ValueError("gamma_adv must be >= 0")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
+        if self.dim < 2:
+            raise ValueError("dim must be >= 2")
         if self.dim % 2 != 0:
             raise ValueError("dim must be even (sinusoidal step embedding)")
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+        if self.blocks < 0:
+            raise ValueError("blocks must be >= 0")
         if self.mode not in ("diffusion", "adversarial"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.approximator not in ("transformer", "gru"):
             raise ValueError(f"unknown approximator {self.approximator!r}")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         return self
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
-from .tensor import (Tensor, add, concat, dropout, embedding_lookup, gather_rows,
-                     layer_norm, matmul, mul, neg, relu, reshape, scale, sigmoid,
-                     softmax, split, stack, tanh, transpose, unstack)
+from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows, layer_norm,
+                     matmul, mul, relu, reshape, scale, sigmoid, softmax, split, stack,
+                     tanh, transpose, unstack)
 
 _NEG_INF = -1e9
 
@@ -115,19 +115,21 @@ _GRU_GATES = ("r", "z", "n")
 
 
 class GruParams:
-    """Item table plus a single GRU layer (separate matrices per gate)."""
+    """Item table plus a single GRU layer: input weights per gate, and the r, z
+    and n gates' recurrent weights side by side in wh (dim, 3·dim) and bh."""
 
     def __init__(self, vocab_size: int, cfg: TrainConfig, rng: RngStream):
         dim = cfg.dim
         self.vocab_size = vocab_size
         self.item_emb = Tensor(rng.gaussian((vocab_size + 1, dim), std=1.0 / np.sqrt(dim)),
                                requires_grad=True)
-        self.gates = {}
-        for gate in _GRU_GATES:
+        self.gates, wh = {}, []
+        for gate in _GRU_GATES:  # draws wi_r, wh_r, wi_z, wh_z, wi_n, wh_n in turn
             self.gates[f"wi_{gate}"] = Tensor(_xavier(rng, dim, dim), requires_grad=True)
-            self.gates[f"wh_{gate}"] = Tensor(_xavier(rng, dim, dim), requires_grad=True)
+            wh.append(_xavier(rng, dim, dim))
             self.gates[f"bi_{gate}"] = Tensor(np.zeros(dim), requires_grad=True)
-            self.gates[f"bh_{gate}"] = Tensor(np.zeros(dim), requires_grad=True)
+        self.gates["wh"] = Tensor(np.concatenate(wh, axis=1), requires_grad=True)
+        self.gates["bh"] = Tensor(np.zeros(3 * dim), requires_grad=True)
 
     def named(self) -> list[tuple[str, Tensor]]:
         out = [("item_emb", self.item_emb)]
@@ -203,13 +205,12 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
 
     The input side of each gate, z @ wi + bi, is computed for all n positions
     before the loop (one (n, dim) product per row). The loop holds one h-side
-    product per position: h @ [wh_r | wh_z | wh_n] + [bh_r | bh_z | bh_n],
-    split into the three gates' parts. The loop runs over padded positions
-    too; with right padding, the state at position mask.sum(1) - 1 is picked,
-    as in `transformer_forward`. In eval mode every row runs as a (1, dim)
-    state, so the h-side product is one vector-matrix product per row: a
-    row's bytes then do not depend on its batch. Training runs the whole
-    batch as one (B, dim) state.
+    product per position, h @ wh + bh, split into the three gates' parts.
+    The loop runs over padded positions too; with right padding, the state
+    at position mask.sum(1) - 1 is picked, as in `transformer_forward`. In
+    eval mode every row runs as a (1, dim) state, so the h-side product is
+    one vector-matrix product per row: a row's bytes then do not depend on
+    its batch. Training runs the whole batch as one (B, dim) state.
     """
     b, n, dim = z_seq.shape
     _, last = _check_mask(padding_mask, b, n)
@@ -222,8 +223,7 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         return unstack(x if train_mode else reshape(x, (b, n, 1, dim)))
 
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
-    wh = concat([g[f"wh_{gate}"] for gate in _GRU_GATES], axis=1)
-    bh = concat([g[f"bh_{gate}"] for gate in _GRU_GATES], axis=0)
+    wh, bh = g["wh"], g["bh"]
     h = Tensor(np.zeros(rows))
     states = []
     for i in range(n):
@@ -231,7 +231,7 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         r = sigmoid(add(xr[i], hr))
         u = sigmoid(add(xz[i], hz))
         cand = tanh(add(xn[i], mul(r, hn)))
-        h = add(cand, mul(u, add(h, neg(cand))))
+        h = add(cand, mul(u, add(h, scale(cand, -1.0))))
         states.append(h)
     out = gather_rows(stack(states), last)
     return out if train_mode else reshape(out, (b, dim))

@@ -171,13 +171,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    if _tracked(a):
-        _record(out, (a,), lambda g: (-g,))
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)  # a NumPy float64 scalar would promote float32 data
     out = Tensor(a.data * c)
@@ -388,19 +381,6 @@ def stack(tensors: list[Tensor]) -> Tensor:
     if _tracked(*tensors):
         n = len(tensors)
         _record(out, tuple(tensors), lambda g: tuple(g[:, i] for i in range(n)))
-    return out
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    """Join tensors along `axis`; the backward hands each input a view of the gradient."""
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    if _tracked(*tensors):
-        lead = (slice(None),) * (axis % out.ndim)
-        slices, start = [], 0
-        for t in tensors:
-            slices.append(lead + (slice(start, start + t.shape[axis]),))
-            start += t.shape[axis]
-        _record(out, tuple(tensors), lambda g: tuple(g[s] for s in slices))
     return out
 
 

@@ -26,6 +26,10 @@ from .tensor import (Tape, Tensor, add, backward, cross_entropy_rows,
                      embedding_lookup, matmul, scale, transpose)
 
 
+class TrainingDivergedError(RuntimeError):
+    """A training batch produced a non-finite loss."""
+
+
 @dataclass
 class StepLog:
     epoch: int
@@ -104,7 +108,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
             hist, mask, targets = _assemble(splits.train, idx, cfg.max_len)
             entry = batch_step(hist, mask, targets, epoch, bi)
             if not np.isfinite(entry.loss):
-                raise RuntimeError(
+                raise TrainingDivergedError(
                     f"training diverged: loss={entry.loss} at epoch {epoch} batch {bi}")
             step_logs.append(entry)
             loss_sum += entry.loss * len(idx)

@@ -157,8 +157,10 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
 
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
                                    "bad-sequence", "missing-data", "steps-above-t",
-                                   "infer-topk-negative", "probe-n-negative", "probe-topk-0"])
-def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, capsys):
+                                   "infer-topk-negative", "probe-n-negative", "probe-topk-0",
+                                   "train-heads-0"])
+def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
+                                               capsys):
     ckpt_path = tmp_path / "bad.ckpt"
     if fault == "truncated-ckpt":
         ckpt_path.write_bytes(trained_ckpt.read_bytes()[:-50])
@@ -182,6 +184,10 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
         argv += ["--n", "-5"] if fault == "probe-n-negative" else ["--topk", "0"]
+    elif fault == "train-heads-0":
+        (tmp_path / "bad.cfg").write_text("heads = 0\n")
+        argv = ["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),
+                "--out", str(tmp_path / "out.ckpt")]
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -189,6 +195,7 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, trained_ckpt, fault, ca
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff {argv[0]}: ")
     assert not (tmp_path / "probe.csv").exists()
+    assert not (tmp_path / "out.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "probe"])
@@ -256,3 +263,21 @@ def test_overflow_warnings_stay_off_stderr(tmp_path, trained_ckpt):
                           timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "seqdiff infer: the model produced non-finite item scores\n"
+
+
+def test_diverging_training_is_one_line_and_exit_2(tmp_path, synth_dir):
+    # in a fresh interpreter, as above: the overflow warnings of the diverging
+    # batches stay off stderr, and the divergence is the one line printed
+    cfg = desk_config(dim=16, blocks=1, heads=2, t=4, batch_size=32, epochs=2,
+                      max_len=8, eval_every=0, learning_rate=1e300)
+    cfg_path = tmp_path / "diverge.cfg"
+    cfg_path.write_text(format_config(cfg))
+    ckpt_path = tmp_path / "model.ckpt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "seqdiff", "train", "--data", str(synth_dir),
+                           "--config", str(cfg_path), "--out", str(ckpt_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "seqdiff train: training diverged: loss=nan at epoch 1 batch 1\n"
+    assert not ckpt_path.exists()

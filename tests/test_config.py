@@ -48,9 +48,14 @@ def test_parse_rejects_bad_boolean():
     ("mode", "hybrid"),
     ("approximator", "cnn"),
     ("max_len", 0),
+    ("heads", 0),
+    ("heads", -2),
+    ("dim", 0),
+    ("blocks", -1),
+    ("patience", 0),
 ])
 def test_validate_rejects_bad_values(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value}).validate()
 
 

@@ -8,7 +8,7 @@ from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.model import (Approximator, GruParams, TransformerParams,
                            init_params, mix, step_embedding_batch)
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, neg, sigmoid,
+from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, scale, sigmoid,
                             sum_all, tanh)
 
 model_mod = importlib.import_module("seqdiff.model")
@@ -262,10 +262,14 @@ def test_forward_rejects_masks_that_are_not_right_padded(approximator, mask_row)
 def _numpy_gru(params, z_seq, lengths):
     """Plain per-row GRU over the valid prefix of each row; its last state."""
     g = {k: t.data for k, t in params.gates.items()}
+    dim = z_seq.shape[-1]
+    for k, gate in enumerate(("r", "z", "n")):
+        g[f"wh_{gate}"] = g["wh"][:, k * dim:(k + 1) * dim]
+        g[f"bh_{gate}"] = g["bh"][k * dim:(k + 1) * dim]
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
     out = []
     for z, length in zip(z_seq, lengths):
-        h = np.zeros(z.shape[-1])
+        h = np.zeros(dim)
         for x in z[:length]:
             r = sig(x @ g["wi_r"] + g["bi_r"] + h @ g["wh_r"] + g["bh_r"])
             u = sig(x @ g["wi_z"] + g["bi_z"] + h @ g["wh_z"] + g["bh_z"])
@@ -296,15 +300,18 @@ def _per_gate_gru_eval(params, z_seq):
     b, n, dim = z_seq.shape
     x = {gate: add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"]).data.reshape(b, n, 1, dim)
          for gate in ("r", "z", "n")}
+    cols = {gate: slice(k * dim, (k + 1) * dim) for k, gate in enumerate(("r", "z", "n"))}
+    wh = {gate: Tensor(g["wh"].data[:, c]) for gate, c in cols.items()}  # contiguous copies
+    bh = {gate: Tensor(g["bh"].data[c]) for gate, c in cols.items()}
     h = Tensor(np.zeros((b, 1, dim)))
     for i in range(n):
         def h_side(gate):
-            return add(matmul(h, g[f"wh_{gate}"]), g[f"bh_{gate}"])
+            return add(matmul(h, wh[gate]), bh[gate])
 
         r = sigmoid(add(Tensor(x["r"][:, i]), h_side("r")))
         u = sigmoid(add(Tensor(x["z"][:, i]), h_side("z")))
         cand = tanh(add(Tensor(x["n"][:, i]), mul(r, h_side("n"))))
-        h = add(cand, mul(u, add(h, neg(cand))))
+        h = add(cand, mul(u, add(h, scale(cand, -1.0))))
     return h.data.reshape(b, dim)
 
 
@@ -336,3 +343,24 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
     model.reconstruct(hist, np.ones((2, n)), np.zeros((2, cfg.dim)), [3, 3],
                       [RngStream(1), RngStream(2)], train_mode=False)
     assert calls == {"matmul": 3 + n, "sigmoid": 2 * n, "tanh": n}
+    # training records 14 nodes per position; before the loop, two per
+    # input-side product and one unstack each; after it, stack and gather_rows
+    with Tape() as tape:
+        model.forward(Tensor(np.ones((2, n, cfg.dim))), np.ones((2, n)), True, RngStream(3))
+        assert len(tape) == 3 * 3 + 14 * n + 2
+
+
+def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
+    cfg = tiny_config(approximator="gru")
+    dim, std = cfg.dim, np.sqrt(2.0 / (cfg.dim + cfg.dim))
+    params = GruParams(9, cfg, RngStream(4))
+    rng = RngStream(4)
+    rng.gaussian((10, dim), std=1.0 / np.sqrt(dim))  # the item table
+    for k, gate in enumerate(("r", "z", "n")):
+        wi, wh = rng.gaussian((dim, dim), std=std), rng.gaussian((dim, dim), std=std)
+        assert params.gates[f"wi_{gate}"].data.tobytes() == wi.tobytes()
+        assert params.gates["wh"].data[:, k * dim:(k + 1) * dim].tobytes() == wh.tobytes()
+    assert np.array_equal(params.gates["bh"].data, np.zeros(3 * dim))
+    assert [name for name, _ in params.named()] == [
+        "item_emb", "gru.bh", "gru.bi_n", "gru.bi_r", "gru.bi_z",
+        "gru.wh", "gru.wi_n", "gru.wi_r", "gru.wi_z"]

@@ -240,6 +240,18 @@ def test_model_from_checkpoint_rejects_missing_tensor():
         model_from_checkpoint(ckpt)
 
 
+def test_per_gate_gru_checkpoint_is_refused():
+    # earlier builds stored one recurrent matrix and bias per gate
+    cfg = tiny_config(approximator="gru")
+    ckpt = checkpoint_from_params(init_params(7, cfg, RngStream(1)), cfg, 7, epoch=3)
+    wh, bh = ckpt.tensors.pop("gru.wh"), ckpt.tensors.pop("gru.bh")
+    for k, gate in enumerate(("r", "z", "n")):
+        ckpt.tensors[f"gru.wh_{gate}"] = wh[:, k * cfg.dim:(k + 1) * cfg.dim].copy()
+        ckpt.tensors[f"gru.bh_{gate}"] = bh[k * cfg.dim:(k + 1) * cfg.dim].copy()
+    with pytest.raises(CheckpointShapeError, match="missing tensor 'gru.bh'"):
+        model_from_checkpoint(ckpt)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

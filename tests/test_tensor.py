@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward, concat,
+from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape,
                             set_default_dtype, sigmoid, softmax, split, stack,
@@ -168,8 +168,6 @@ def test_tape_clear_releases_intermediates():
     ("reshape", ((3, 4),)),
     ("unstack", ((2, 4, 3),)),
     ("stack", ((2, 3), (2, 3))),
-    ("concat", ((2, 3), (2, 4))),
-    ("concat_axis0", ((3,), (2,))),
     ("split", ((2, 1, 7),)),
 ])
 def test_gradients_match_finite_differences(op, shapes):
@@ -204,10 +202,6 @@ def test_gradients_match_finite_differences(op, shapes):
             out = add(mul(parts[0], parts[3]), parts[0])
         elif op == "stack":
             out = stack([tensors[0], tensors[1], tensors[0]])
-        elif op == "concat":
-            out = concat([tensors[0], tensors[1], tensors[0]], axis=1)
-        elif op == "concat_axis0":
-            out = concat([tensors[0], tensors[1]], axis=0)
         elif op == "split":
             parts = split(tensors[0], (2, 3, 2))  # part 1 is off the loss path
             out = add(mul(parts[0], parts[2]), parts[0])
@@ -281,19 +275,16 @@ def test_unstack_and_stack_round_trip_with_zero_slots_off_the_loss_path():
     assert np.array_equal(x.grad[:, :2], np.zeros((2, 2, 4)))
 
 
-def test_concat_and_split_round_trip_with_zeros_off_the_loss_path():
-    a = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    b = Tensor(np.arange(4, dtype=float).reshape(2, 2), requires_grad=True)
+def test_split_gives_exact_zeros_to_parts_off_the_loss_path():
+    x = Tensor(np.arange(10, dtype=float).reshape(2, 5), requires_grad=True)
     with Tape() as tape:
-        x = concat([a, b], axis=1)
-        assert np.array_equal(x.data, np.concatenate([a.data, b.data], axis=1))
         parts = split(x, (1, 2, 2))
-        assert len(tape) == 2  # one node for the join, one for every part
+        assert len(tape) == 1  # one node for every part
         assert [p.shape for p in parts] == [(2, 1), (2, 2), (2, 2)]
         assert np.array_equal(np.concatenate([p.data for p in parts], axis=1), x.data)
         backward(tape, sum_all(parts[2]))
-    assert np.array_equal(a.grad, np.zeros((2, 3)))
-    assert np.array_equal(b.grad, np.ones((2, 2)))
+    assert np.array_equal(x.grad[:, :3], np.zeros((2, 3)))
+    assert np.array_equal(x.grad[:, 3:], np.ones((2, 2)))
 
 
 def test_split_sizes_must_cover_the_last_axis():
