@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Overflow inside a model ends in the one-line error of the check that
-    # catches it (non-finite item scores, a diverged loss), not in numpy warnings.
+    # catches it (non-finite item scores, a diverged loss), not in numpy
+    # warnings; the library's own warnings print as one line each.
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"seqdiff {args.command}: warning: {message}", file=sys.stderr)
             return args.func(args)
     except (ValueError, OSError, CheckpointError, TrainingDivergedError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)

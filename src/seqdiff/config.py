@@ -74,6 +74,11 @@ class TrainConfig:
             raise ValueError("max_len must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0")
+        for name in ("dropout_block", "dropout_emb"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         return self
 
 
@@ -98,7 +103,7 @@ def _parse_value(name: str, text: str):
 
 def parse_config(text: str) -> TrainConfig:
     """Parse `key = value` lines; `#` starts a comment, blanks are skipped."""
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -109,6 +114,9 @@ def parse_config(text: str) -> TrainConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"config line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         values[key] = _parse_value(key, raw.strip())
     return TrainConfig(**values).validate()
 

@@ -48,12 +48,16 @@ def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
                  mask_history: bool = False) -> list[RankRecord]:
     """Rank each sample's target in one batch; sample i uses rng_base.derive(i).
 
-    `mask_history` drops every item of the full history (not only the
-    scorer's truncation window) from the candidates, so each must be in
-    [1, n_items].
+    Every target must be in [1, n_items]. `mask_history` drops every item of
+    the full history (not only the scorer's truncation window) from the
+    candidates, so each must be in [1, n_items] too.
     """
     if not samples:
         raise ValueError("evaluation split is empty")
+    targets = np.array([s.target for s in samples])
+    bad = targets[(targets < 1) | (targets > scorer.n_items)]
+    if bad.size:
+        raise ValueError(f"target item {bad[0]} is outside [1, {scorer.n_items}]")
     if mask_history:
         for s in samples:
             check_items(s.history, scorer.n_items)
@@ -68,7 +72,7 @@ def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
                     for item in s.history if item != s.target]
             if seen:
                 scores[tuple(zip(*seen))] = -np.inf
-        ranks.extend(target_rank(scores, [s.target for s in chunk]).tolist())
+        ranks.extend(target_rank(scores, targets[a:a + ROWS_PER_CALL]).tolist())
     return [RankRecord(target=s.target, rank=rank, hist_len=len(s.history))
             for s, rank in zip(samples, ranks)]
 

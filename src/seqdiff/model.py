@@ -23,7 +23,7 @@ from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows, layer_norm,
                      matmul, mul, relu, reshape, scale, sigmoid, softmax, split, stack,
-                     tanh, transpose, unstack)
+                     tanh, transpose)
 
 _NEG_INF = -1e9
 
@@ -204,8 +204,9 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
     """Single-layer gated recurrence; returns the state at the last valid position.
 
     The input side of each gate, z @ wi + bi, is computed for all n positions
-    before the loop (one (n, dim) product per row). The loop holds one h-side
-    product per position, h @ wh + bh, split into the three gates' parts.
+    before the loop (one (n, dim) product per row) and cut into its n
+    per-position parts with `split`. The loop holds one h-side product per
+    position, h @ wh + bh, split into the three gates' parts.
     The loop runs over padded positions too; with right padding, the state
     at position mask.sum(1) - 1 is picked, as in `transformer_forward`. In
     eval mode every row runs as a (1, dim) state, so the h-side product is
@@ -220,7 +221,7 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
 
     def input_side(gate: str) -> list[Tensor]:
         x = add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"])
-        return unstack(x if train_mode else reshape(x, (b, n, 1, dim)))
+        return split(reshape(x, rows[:-1] + (n * dim,)), (dim,) * n)
 
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
     wh, bh = g["wh"], g["bh"]

@@ -80,7 +80,7 @@ class Tape:
     """
 
     def __init__(self):
-        # (output, inputs, backward); the output is a tuple for `unstack` and `split`
+        # (output, inputs, backward); the output is a tuple for `split`
         self._nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
@@ -347,36 +347,9 @@ def gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
     return out
 
 
-def unstack(x: Tensor) -> list[Tensor]:
-    """Split (B, n, ...) into the n slices x[:, i], each (B, ...).
-
-    One tape node covers every slice, and its backward builds the (B, n, ...)
-    gradient once, with zeros in the slots of slices off the loss path.
-    """
-    # one copy to (n, B, ...) makes every slice a contiguous view
-    data = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
-    outs = tuple(Tensor(part) for part in data)
-    if _tracked(x):
-        shape, dtype = x.shape, x.data.dtype
-
-        def bwd(gs):
-            gx = np.zeros(shape, dtype=dtype)
-            for i, g in enumerate(gs):
-                if g is not None:
-                    gx[:, i] = g
-            return (gx,)
-
-        for o in outs:
-            o.requires_grad = True
-        _TAPE_STACK[-1]._nodes.append((outs, (x,), bwd))
-    return list(outs)
-
-
 def stack(tensors: list[Tensor]) -> Tensor:
-    """n tensors of shape (B, ...) -> (B, n, ...), the inverse of `unstack`.
-
-    The backward hands each input a view of the output gradient.
-    """
+    """n tensors of shape (B, ...) -> (B, n, ...); the backward hands each
+    input a view of the output gradient."""
     out = Tensor(np.stack([t.data for t in tensors], axis=1))
     if _tracked(*tensors):
         n = len(tensors)
@@ -387,8 +360,8 @@ def stack(tensors: list[Tensor]) -> Tensor:
 def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
     """Cut the last axis of x into consecutive parts of the given sizes.
 
-    One tape node covers every part, as in `unstack`; its backward joins the
-    part gradients in one concatenate, with zeros for parts off the loss path.
+    One tape node covers every part; its backward joins the part gradients
+    in one concatenate, with zeros for parts off the loss path.
     """
     data = x.data
     if sum(sizes) != data.shape[-1]:

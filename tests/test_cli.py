@@ -158,7 +158,7 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
                                    "bad-sequence", "missing-data", "steps-above-t",
                                    "infer-topk-negative", "probe-n-negative", "probe-topk-0",
-                                   "train-heads-0"])
+                                   "train-heads-0", "eval-target-16", "eval-mask-target-16"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -188,6 +188,13 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         (tmp_path / "bad.cfg").write_text("heads = 0\n")
         argv = ["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),
                 "--out", str(tmp_path / "out.ckpt")]
+    elif fault.startswith("eval"):  # items 16 and 17 are not in the checkpoint's 15
+        data = tmp_path / "wide"
+        data.mkdir()
+        (data / "vocab.tsv").write_text("".join(f"{i}\titem{i}\n" for i in range(1, 18)))
+        (data / "sequences.txt").write_text("1 2 3 16\n2 3 4 17\n")
+        argv = ["eval", "--ckpt", str(ckpt_path), "--data", str(data)]
+        argv += ["--mask-history"] if fault == "eval-mask-target-16" else []
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -281,3 +288,19 @@ def test_diverging_training_is_one_line_and_exit_2(tmp_path, synth_dir):
     assert proc.stdout == ""
     assert proc.stderr == "seqdiff train: training diverged: loss=nan at epoch 1 batch 1\n"
     assert not ckpt_path.exists()
+
+
+def test_warnings_are_one_line_each(tmp_path, trained_ckpt):
+    # in a fresh interpreter, where Python prints warnings with their source line
+    data = tmp_path / "short"
+    data.mkdir()
+    (data / "vocab.tsv").write_text("".join(f"{i}\titem{i}\n" for i in range(1, 16)))
+    (data / "sequences.txt").write_text("1 2\n2 3\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "seqdiff", "eval", "--ckpt", str(trained_ckpt),
+                           "--data", str(data)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("seqdiff eval: warning: 2 sequences shorter than 3 excluded "
+                           "from splits\nseqdiff eval: evaluation split is empty\n")

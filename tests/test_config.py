@@ -33,6 +33,11 @@ def test_parse_rejects_missing_equals():
         parse_config("dim 32")
 
 
+def test_parse_rejects_a_key_given_twice_naming_both_lines():
+    with pytest.raises(ValueError, match="line 3: epochs is already set on line 1"):
+        parse_config("epochs = 1\ndim = 32\nepochs = 0\n")
+
+
 def test_parse_rejects_bad_boolean():
     with pytest.raises(ValueError):
         parse_config("lambda_scalar = maybe")
@@ -53,6 +58,11 @@ def test_parse_rejects_bad_boolean():
     ("dim", 0),
     ("blocks", -1),
     ("patience", 0),
+    ("eval_every", -1),
+    ("dropout_block", 1.0),
+    ("dropout_block", -0.1),
+    ("dropout_emb", 1.5),
+    ("dropout_emb", -0.3),
 ])
 def test_validate_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):

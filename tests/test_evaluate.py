@@ -177,6 +177,19 @@ def test_mask_history_rejects_an_unknown_item_before_the_window(item):
         rank_records(scorer, [sample], RngStream(0), mask_history=True)
 
 
+@pytest.mark.parametrize("mask_history", [False, True])
+@pytest.mark.parametrize("target", [7, 0, -1])
+def test_rank_records_rejects_a_target_outside_the_vocabulary_before_reversing(
+        target, mask_history):
+    scorer = _oracle_scorer(1)  # items 1..6
+    reversed_histories = []
+    scorer.represent_batch = lambda histories, rngs: reversed_histories.extend(histories)
+    samples = [Sample((1, 2), 3), Sample((2, 3), target), Sample((3, 4), 9)]
+    with pytest.raises(ValueError, match=rf"target item {target} is outside \[1, 6\]"):
+        rank_records(scorer, samples, RngStream(0), mask_history=mask_history)
+    assert reversed_histories == []
+
+
 def test_head_items_top_fifth_with_index_ties():
     freqs = np.array([0.0, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1])
     assert head_items(freqs, 10) == {1, 2}

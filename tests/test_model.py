@@ -344,10 +344,11 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
                       [RngStream(1), RngStream(2)], train_mode=False)
     assert calls == {"matmul": 3 + n, "sigmoid": 2 * n, "tanh": n}
     # training records 14 nodes per position; before the loop, two per
-    # input-side product and one unstack each; after it, stack and gather_rows
+    # input-side product, then one reshape to (B, n * dim) and one split each;
+    # after it, stack and gather_rows
     with Tape() as tape:
         model.forward(Tensor(np.ones((2, n, cfg.dim))), np.ones((2, n)), True, RngStream(3))
-        assert len(tape) == 3 * 3 + 14 * n + 2
+        assert len(tape) == 3 * 4 + 14 * n + 2
 
 
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():

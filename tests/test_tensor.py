@@ -10,7 +10,7 @@ from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape,
                             set_default_dtype, sigmoid, softmax, split, stack,
-                            sum_all, tanh, transpose, unstack)
+                            sum_all, tanh, transpose)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -166,9 +166,8 @@ def test_tape_clear_releases_intermediates():
     ("tanh", ((3, 5),)),
     ("transpose", ((2, 3, 4),)),
     ("reshape", ((3, 4),)),
-    ("unstack", ((2, 4, 3),)),
-    ("stack", ((2, 3), (2, 3))),
     ("split", ((2, 1, 7),)),
+    ("stack", ((2, 3), (2, 3))),
 ])
 def test_gradients_match_finite_differences(op, shapes):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -197,9 +196,6 @@ def test_gradients_match_finite_differences(op, shapes):
             out = transpose(tensors[0], (2, 0, 1))
         elif op == "reshape":
             out = reshape(tensors[0], (2, 6))
-        elif op == "unstack":
-            parts = unstack(tensors[0])  # parts 1 and 2 are off the loss path
-            out = add(mul(parts[0], parts[3]), parts[0])
         elif op == "stack":
             out = stack([tensors[0], tensors[1], tensors[0]])
         elif op == "split":
@@ -263,16 +259,13 @@ def test_gather_rows_picks_and_scatters():
     assert x.grad.sum() == 8.0
 
 
-def test_unstack_and_stack_round_trip_with_zero_slots_off_the_loss_path():
-    x = Tensor(np.arange(24, dtype=float).reshape(2, 3, 4), requires_grad=True)
+def test_stack_rebuilds_the_parts_that_split_cut():
+    x = Tensor(np.arange(24, dtype=float).reshape(2, 12), requires_grad=True)
     with Tape() as tape:
-        parts = unstack(x)
-        assert len(tape) == 1  # one node for every slice
-        assert [p.shape for p in parts] == [(2, 4)] * 3
-        assert np.array_equal(stack(parts).data, x.data)
-        backward(tape, sum_all(parts[2]))
-    assert np.array_equal(x.grad[:, 2], np.ones((2, 4)))
-    assert np.array_equal(x.grad[:, :2], np.zeros((2, 2, 4)))
+        out = stack(split(x, (4, 4, 4)))
+        assert np.array_equal(out.data, x.data.reshape(2, 3, 4))
+        backward(tape, sum_all(out))
+    assert np.array_equal(x.grad, np.ones((2, 12)))
 
 
 def test_split_gives_exact_zeros_to_parts_off_the_loss_path():
