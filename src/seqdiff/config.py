@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -42,6 +43,9 @@ class TrainConfig:
     patience: int = 3
 
     def validate(self) -> "TrainConfig":
+        for name, kind in _FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.t < 1:

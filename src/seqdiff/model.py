@@ -22,8 +22,8 @@ import numpy as np
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows, layer_norm,
-                     matmul, mul, relu, reshape, scale, sigmoid, softmax, split, stack,
-                     tanh, transpose)
+                     matmul, mul, relu, reshape, scale, sigmoid, sigmoid_array, softmax,
+                     split, stack, tanh, tracked, transpose)
 
 _NEG_INF = -1e9
 
@@ -212,10 +212,18 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
     eval mode every row runs as a (1, dim) state, so the h-side product is
     one vector-matrix product per row: a row's bytes then do not depend on
     its batch. Training runs the whole batch as one (B, dim) state.
+
+    An eval-mode forward that no tape records (no active `Tape`, or no
+    tracked input) runs `_gru_eval_arrays` on the `.data` arrays instead:
+    the same operations in the same order, with the same bytes, and no
+    `Tensor` per op. Under a tape, eval mode takes the taped loop, so its
+    gradients exist.
     """
     b, n, dim = z_seq.shape
     _, last = _check_mask(padding_mask, b, n)
     g = params.gates
+    if not train_mode and not tracked(z_seq, *g.values()):
+        return Tensor(_gru_eval_arrays(z_seq.data, last, g))
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
     rows = (b, dim) if train_mode else (b, 1, dim)
 
@@ -236,6 +244,38 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
         states.append(h)
     out = gather_rows(stack(states), last)
     return out if train_mode else reshape(out, (b, dim))
+
+
+def _gru_eval_arrays(z: np.ndarray, last: np.ndarray, g: dict[str, Tensor]) -> np.ndarray:
+    """The eval-mode loop of `gru_forward` on plain arrays: (B, n, dim) -> (B, dim).
+
+    Rows stay (B, 1, dim), so each h-side product is one vector-matrix
+    product per row. The r and z gates' input parts are added into their
+    columns of the h-side product, which then takes one sigmoid; both ops
+    are element-wise, so the bytes are those of the taped loop. No array
+    is larger than one gate's (B, n, dim) input product: a joined
+    (B, n, 2·dim) r|z input array gave the same bytes, but the training
+    runs that followed it in one process took more page faults.
+    """
+    b, n, dim = z.shape
+
+    def input_side(gate: str) -> np.ndarray:  # x[i] is position i's (B, 1, dim) part
+        x = z @ g[f"wi_{gate}"].data + g[f"bi_{gate}"].data
+        return x.transpose(1, 0, 2)[:, :, None]
+
+    xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
+    wh, bh = g["wh"].data, g["bh"].data
+    h = np.zeros((b, 1, dim), dtype=z.dtype)
+    states = np.empty((b, n, dim), dtype=z.dtype)
+    for i in range(n):
+        hs = h @ wh + bh
+        hs[..., :dim] += xr[i]
+        hs[..., dim:2 * dim] += xz[i]
+        rz = sigmoid_array(hs[..., :2 * dim])
+        cand = np.tanh(xn[i] + rz[..., :dim] * hs[..., 2 * dim:])
+        h = cand + rz[..., dim:] * (h + cand * -1.0)
+        states[:, i] = h[:, 0]
+    return states[np.arange(b), last]
 
 
 class Approximator:

@@ -81,6 +81,9 @@ def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
         raise ValueError(f"horizon must be >= 1, got {t}")
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
+    for name, value in (("a", a), ("b", b), ("tau", tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"schedule option {name}={value!r} must be finite")
     if kind != "truncated-linear":
         defaults = inspect.signature(build_schedule).parameters
         for name, value in (("a", a), ("b", b), ("tau", tau), ("b_constant", b_constant)):

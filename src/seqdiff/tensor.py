@@ -7,8 +7,10 @@ recording order is a valid topological order of the computation, so
 `backward(tape, loss)` replays the tape once in reverse and accumulates
 adjoints into `.grad` of every tensor that requires_grad.
 
-Outside a tape, ops run as plain numpy with no recording overhead, which is
-what inference uses.
+Outside a tape an op records nothing, but it still wraps its result in a
+new `Tensor`. Code that runs many tiny ops with nothing recording can check
+`tracked` and run on the `.data` arrays instead, as the GRU's eval-mode
+recurrence does (`model.gru_forward`).
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class Tape:
         self._nodes.clear()
 
 
-def _tracked(*tensors: Tensor) -> bool:
+def tracked(*tensors: Tensor) -> bool:
+    """True when a tape is active and an op on `tensors` would record on it."""
     return bool(_TAPE_STACK) and any(t.requires_grad for t in tensors)
 
 
@@ -161,7 +164,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
-    if _tracked(a, b):
+    if tracked(a, b):
         a_shape, b_shape = a.shape, b.shape
 
         def bwd(g):
@@ -174,14 +177,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)  # a NumPy float64 scalar would promote float32 data
     out = Tensor(a.data * c)
-    if _tracked(a):
+    if tracked(a):
         _record(out, (a,), lambda g: (g * c,))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
-    if _tracked(a, b):
+    if tracked(a, b):
         a_data, b_data = a.data, b.data
 
         def bwd(g):
@@ -202,7 +205,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if len(a_shape) > 2 and len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2]:
         raise ShapeMismatchError(f"leading dimensions disagree: {a_shape} @ {b_shape}")
     out = Tensor(a.data @ b.data)
-    if _tracked(a, b):
+    if tracked(a, b):
         a_data, b_data = a.data, b.data
 
         def bwd(g):
@@ -216,7 +219,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(a.data, axes))
-    if _tracked(a):
+    if tracked(a):
         inv = tuple(np.argsort(axes))
         _record(out, (a,), lambda g: (np.transpose(g, inv),))
     return out
@@ -224,7 +227,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    if _tracked(a):
+    if tracked(a):
         old = a.shape
         _record(out, (a,), lambda g: (g.reshape(old),))
     return out
@@ -232,18 +235,23 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
-    if _tracked(a):
+    if tracked(a):
         mask = a.data > 0
         _record(out, (a,), lambda g: (g * mask,))
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid_array(a: np.ndarray) -> np.ndarray:
+    """Element-wise logistic function of a plain array; `sigmoid` runs this."""
     # clamping keeps exp in range; the output is already saturated beyond +/-500.
     # np.minimum(np.maximum(...)) gives np.clip's bytes without its wrapper's cost.
-    y = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(a.data, -500.0), 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(a, -500.0), 500.0)))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = sigmoid_array(a.data)
     out = Tensor(y)
-    if _tracked(a):
+    if tracked(a):
         _record(out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
 
@@ -251,14 +259,14 @@ def sigmoid(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
-    if _tracked(a):
+    if tracked(a):
         _record(out, (a,), lambda g: (g * (1.0 - y * y),))
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
-    if _tracked(a):
+    if tracked(a):
         shape = a.shape
         _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
     return out
@@ -272,7 +280,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(p)
-    if _tracked(a):
+    if tracked(a):
 
         def bwd(g):
             dot = (g * p).sum(axis=axis, keepdims=True)
@@ -295,7 +303,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
-    if _tracked(x, gain, bias):
+    if tracked(x, gain, bias):
         g_data = gain.data
 
         def bwd(g):
@@ -318,7 +326,7 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ValueError(
             f"index out of range [0, {table.shape[0]}) in embedding lookup")
     out = Tensor(table.data[idx])
-    if _tracked(table):
+    if tracked(table):
         shape = table.shape
 
         def bwd(g):
@@ -335,7 +343,7 @@ def gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
     pos = np.asarray(positions)
     b_idx = np.arange(x.shape[0])
     out = Tensor(x.data[b_idx, pos])
-    if _tracked(x):
+    if tracked(x):
         shape = x.shape
 
         def bwd(g):
@@ -351,7 +359,7 @@ def stack(tensors: list[Tensor]) -> Tensor:
     """n tensors of shape (B, ...) -> (B, n, ...); the backward hands each
     input a view of the output gradient."""
     out = Tensor(np.stack([t.data for t in tensors], axis=1))
-    if _tracked(*tensors):
+    if tracked(*tensors):
         n = len(tensors)
         _record(out, tuple(tensors), lambda g: tuple(g[:, i] for i in range(n)))
     return out
@@ -371,7 +379,7 @@ def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
     for k in sizes:
         parts.append(Tensor(data[..., start:start + k]))
         start += k
-    if _tracked(x):
+    if tracked(x):
         lead, dtype = data.shape[:-1], data.dtype
 
         def bwd(gs):
@@ -392,7 +400,7 @@ def dropout(x: Tensor, p: float, rng: RngStream, train: bool) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     mask = ((rng.uniform(x.shape) >= p) / (1.0 - p)).astype(_DEFAULT_DTYPE, copy=False)
     out = Tensor(x.data * mask)
-    if _tracked(x):
+    if tracked(x):
         _record(out, (x,), lambda g: (g * mask,))
     return out
 
@@ -423,7 +431,7 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
     denom = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(denom[:, 0])
     out = Tensor(np.mean(lse - z[np.arange(b), tgt]))
-    if _tracked(logits):
+    if tracked(logits):
         p = e / denom  # exp(-inf) = 0 keeps the ignored column at zero
 
         def bwd(g):

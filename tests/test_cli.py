@@ -304,3 +304,28 @@ def test_warnings_are_one_line_each(tmp_path, trained_ckpt):
     assert proc.stdout == ""
     assert proc.stderr == ("seqdiff eval: warning: 2 sequences shorter than 3 excluded "
                            "from splits\nseqdiff eval: evaluation split is empty\n")
+
+
+@pytest.mark.parametrize("option,value", [("--tau", "nan"), ("--a", "inf"), ("--b", "nan")])
+def test_non_finite_schedule_option_is_one_line_and_exit_2(tmp_path, option, value, capsys):
+    out = tmp_path / "schedule.csv"
+    assert main(["schedule-dump", option, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"seqdiff schedule-dump: schedule option "
+                            f"{option[2:]}={float(value)!r} must be finite\n")
+
+
+@pytest.mark.parametrize("line", ["learning_rate = nan", "delta = inf", "schedule_tau = nan",
+                                  "gamma_adv = nan"])
+def test_non_finite_config_value_is_one_line_and_exit_2(tmp_path, synth_dir, line, capsys):
+    (tmp_path / "bad.cfg").write_text(line + "\n")
+    out = tmp_path / "out.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    field = line.split(" = ")[0]
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"seqdiff train: {field} must be finite")

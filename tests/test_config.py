@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from seqdiff.config import (TrainConfig, format_config, parse_config)
@@ -67,6 +69,18 @@ def test_parse_rejects_bad_boolean():
 def test_validate_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value}).validate()
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_validate_rejects_non_finite_floats(field, text):
+    # nan passes every `<` and `>` check, and a nan or infinite learning rate
+    # or delta would only show later as a diverged loss
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        parse_config(f"{field} = {text}")
 
 
 def test_validate_requires_dim_divisible_by_heads():

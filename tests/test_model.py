@@ -8,8 +8,8 @@ from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.model import (Approximator, GruParams, TransformerParams,
                            init_params, mix, step_embedding_batch)
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, scale, sigmoid,
-                            sum_all, tanh)
+from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, scale,
+                            set_default_dtype, sigmoid, sum_all, tanh)
 
 model_mod = importlib.import_module("seqdiff.model")
 
@@ -328,27 +328,74 @@ def test_fused_h_side_product_has_the_bytes_of_the_per_gate_products(dim):
 
 
 def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
-    # per position: one h-side product, two gate sigmoids and one tanh;
-    # before the loop: the three input-side products
+    # with no tape recording, the eval-mode recurrence runs on plain arrays:
+    # the forward calls no tensor op at all
     cfg = tiny_config(approximator="gru")
     model = _random_model(cfg)
-    calls = {}
-    for op in ("matmul", "sigmoid", "tanh"):
+    calls, in_forward = {}, []
+    for op in ("add", "dropout", "gather_rows", "matmul", "mul", "reshape", "scale",
+               "sigmoid", "split", "stack", "tanh"):  # every op of the taped loop
         def counted(*args, _op=op, _fn=getattr(model_mod, op)):
-            calls[_op] = calls.get(_op, 0) + 1
+            if in_forward:
+                calls[_op] = calls.get(_op, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(model_mod, op, counted)
+
+    def forward(*args, _fn=model_mod.gru_forward):
+        in_forward.append(True)
+        try:
+            return _fn(*args)
+        finally:
+            in_forward.pop()
+
+    monkeypatch.setattr(model_mod, "gru_forward", forward)
     n = 5
     hist = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
-    model.reconstruct(hist, np.ones((2, n)), np.zeros((2, cfg.dim)), [3, 3],
-                      [RngStream(1), RngStream(2)], train_mode=False)
-    assert calls == {"matmul": 3 + n, "sigmoid": 2 * n, "tanh": n}
+    out = model.reconstruct(hist, np.ones((2, n)), np.zeros((2, cfg.dim)), [3, 3],
+                            [RngStream(1), RngStream(2)], train_mode=False)
+    assert out.shape == (2, cfg.dim)
+    assert calls == {}
     # training records 14 nodes per position; before the loop, two per
     # input-side product, then one reshape to (B, n * dim) and one split each;
     # after it, stack and gather_rows
     with Tape() as tape:
         model.forward(Tensor(np.ones((2, n, cfg.dim))), np.ones((2, n)), True, RngStream(3))
         assert len(tape) == 3 * 4 + 14 * n + 2
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dim", [32, 100, 128])
+def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeypatch):
+    taken = []
+    array_path = model_mod._gru_eval_arrays
+    monkeypatch.setattr(model_mod, "_gru_eval_arrays",
+                        lambda *args: taken.append(True) or array_path(*args))
+    set_default_dtype(dtype)
+    try:
+        cfg = desk_config(dim=dim, approximator="gru", max_len=8)
+        model = _random_model(cfg, seed=8)
+        gen = np.random.default_rng(dim)
+        for gate in model.params.gates.values():  # nonzero biases, so each one counts
+            gate.data += gen.normal(scale=0.3, size=gate.shape).astype(dtype)
+        lengths = np.array([6, 2, 5, 1, 6])  # right-padded rows of mixed lengths
+        mask = (np.arange(6) < lengths[:, None]).astype(float)
+        z = Tensor(gen.normal(size=(5, 6, dim)))
+        out = model.forward(z, mask, train_mode=False)
+        assert taken == [True]
+        with Tape() as tape:  # the same eval call, recorded
+            taped = model.forward(z, mask, train_mode=False)
+            assert len(tape) > 0
+        assert taken == [True]
+        assert out.data.dtype == taped.data.dtype == np.dtype(dtype)
+        assert out.data.tobytes() == taped.data.tobytes()
+        for t in model.params.gates.values():  # nothing tracked: the array path, unrecorded
+            t.requires_grad = False
+        with Tape() as tape:
+            assert model.forward(z, mask, train_mode=False).data.tobytes() == out.data.tobytes()
+            assert len(tape) == 0
+        assert taken == [True, True]
+    finally:
+        set_default_dtype(np.float64)
 
 
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
