@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import TrainConfig, config_from_dict
-from .model import Approximator, init_params
+from .model import Approximator, init_params, param_shapes
 from .rng import RngStream
 
 MAGIC = b"SEQDIF01"
@@ -62,17 +62,23 @@ def checkpoint_from_params(params, cfg: TrainConfig, vocab_size: int,
 
 
 def model_from_checkpoint(ckpt: ModelCheckpoint) -> Approximator:
-    """Rebuild an Approximator whose parameters are the checkpoint tensors."""
+    """Rebuild an Approximator whose parameters are the checkpoint tensors.
+
+    Every stored shape is checked against the shapes the metadata implies
+    before any parameter is allocated, so metadata that disagrees with the
+    tensors costs no memory.
+    """
     cfg = ckpt.config
-    params = init_params(ckpt.vocab_size, cfg, RngStream(0))
-    for name, tensor in params.named():
+    for name, shape in param_shapes(ckpt.vocab_size, cfg).items():
         if name not in ckpt.tensors:
             raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
         stored = ckpt.tensors[name]
-        if stored.shape != tensor.data.shape:
+        if stored.shape != shape:
             raise CheckpointShapeError(
-                f"tensor {name!r} has shape {stored.shape}, expected {tensor.data.shape}")
-        tensor.data = stored.astype(tensor.data.dtype, copy=True)
+                f"tensor {name!r} has shape {stored.shape}, expected {shape}")
+    params = init_params(ckpt.vocab_size, cfg, RngStream(0))
+    for name, tensor in params.named():
+        tensor.data = ckpt.tensors[name].astype(tensor.data.dtype, copy=True)
     return Approximator(params, cfg)
 
 

@@ -6,6 +6,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+# The transformer allocates its (max_len, dim) positional table before any
+# data is read, so a mistyped max_len must fail here, not as an out-of-memory
+# kill; 10,000 rows are 10 MB at dim 128.
+MAX_LEN_LIMIT = 10_000
+
 
 @dataclass
 class TrainConfig:
@@ -74,8 +79,9 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.approximator not in ("transformer", "gru"):
             raise ValueError(f"unknown approximator {self.approximator!r}")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        if not 1 <= self.max_len <= MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}] (config.MAX_LEN_LIMIT), "
+                             f"got {self.max_len}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.eval_every < 0:

@@ -137,6 +137,26 @@ class GruParams:
         return out
 
 
+def param_shapes(vocab_size: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor `init_params(vocab_size, cfg, ...)` builds,
+    in `named()` order, without allocating any of them."""
+    dim = cfg.dim
+    shapes = {"item_emb": (vocab_size + 1, dim)}
+    if cfg.approximator == "gru":
+        gates = {"wh": (dim, 3 * dim), "bh": (3 * dim,)}
+        for gate in _GRU_GATES:
+            gates[f"wi_{gate}"], gates[f"bi_{gate}"] = (dim, dim), (dim,)
+        shapes.update((f"gru.{k}", gates[k]) for k in sorted(gates))
+        return shapes
+    shapes["pos_emb"] = (cfg.max_len, dim)
+    block = {"wq": (dim, dim), "wk": (dim, dim), "wv": (dim, dim), "wo": (dim, dim),
+             "w1": (dim, 4 * dim), "b1": (4 * dim,), "w2": (4 * dim, dim), "b2": (dim,),
+             "ln1_g": (dim,), "ln1_b": (dim,), "ln2_g": (dim,), "ln2_b": (dim,)}
+    for i in range(cfg.blocks):
+        shapes.update((f"block{i}.{k}", shape) for k, shape in block.items())
+    return shapes
+
+
 def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream):
     if cfg.approximator == "gru":
         return GruParams(vocab_size, cfg, rng)

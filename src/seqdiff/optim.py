@@ -12,7 +12,11 @@ class Adam:
 
     Reads `.grad` of each parameter on `step()`; a missing gradient is
     treated as zero (which, from a cold start, leaves the parameter
-    untouched exactly).
+    untouched exactly). The moments are updated in place, and each
+    parameter's update is computed in one scratch buffer kept across
+    steps. For a gradient of the parameter's dtype these are the
+    floating-point operations, in the same order, of `m = b1*m + (1-b1)*g`,
+    `v = b2*v + (1-b2)*(g*g)` and `p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001,
@@ -26,24 +30,35 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # per parameter: the numerator and the denominator of its update
+        self._scratch = [np.empty((2,) + p.data.shape, p.data.dtype) for p in self.params]
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for p, m, v, (num, den) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:
                 g = 0.0
             elif g.shape != p.data.shape:
                 raise ShapeMismatchError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=num)
+            v *= b2
+            np.multiply(g, g, out=den)
+            den *= 1.0 - b2
+            v += den
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for p in self.params:

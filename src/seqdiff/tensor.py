@@ -4,8 +4,10 @@ A Tensor wraps a row-major numpy array (float64 by default, float32 mode
 available for speed). While a Tape is active (`with Tape() as tape:`), every
 op whose inputs are tracked appends a backward closure to the tape; the
 recording order is a valid topological order of the computation, so
-`backward(tape, loss)` replays the tape once in reverse and accumulates
-adjoints into `.grad` of every tensor that requires_grad.
+`backward(tape, loss)` replays the tape once in reverse. It frees each
+node, with its saved arrays and its output's adjoint, as the walk passes
+it, and accumulates adjoints into `.grad` of the leaves only: the tracked
+tensors that no op on the tape produced, such as parameters.
 
 Outside a tape an op records nothing, but it still wraps its result in a
 new `Tensor`. Code that runs many tiny ops with nothing recording can check
@@ -76,9 +78,9 @@ class Tensor:
 class Tape:
     """Ordered log of executed primitive ops and their saved intermediates.
 
-    Single-owner: one tape per forward/backward pass. `clear()`, which
-    `backward` calls when it is done, drops every node, releasing the
-    arrays the closures captured.
+    Single-owner: one tape per forward/backward pass. `backward` takes the
+    nodes off one by one as it runs them; `clear()` drops every node at
+    once, releasing the arrays the closures captured.
     """
 
     def __init__(self):
@@ -110,40 +112,41 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate `.grad` of every tracked tensor reachable from `loss`.
+    """Accumulate into `.grad` of every leaf reachable from `loss`.
 
-    Walks the tape in reverse recording order (a reverse topological order,
-    each node visited exactly once), then clears the tape. Gradients
-    accumulate across calls; `Adam.zero_grad` resets them between steps.
+    Walks the tape in reverse recording order (a reverse topological order),
+    taking each node off the tape as it runs. By then every consumer of the
+    node's output has run, so the output's adjoint is final: it is taken out
+    of the walk's one dict and freed with the node's closure and saved
+    arrays. The adjoints left at the end belong to leaves, tracked tensors
+    that no node on this tape produced (parameters, test inputs); only
+    they get `.grad`. Gradients accumulate across calls; `Adam.zero_grad`
+    resets them between steps. The tape is empty afterwards.
     """
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, fn in reversed(tape._nodes):
+    adjoints: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    nodes = tape._nodes
+    while nodes:
+        out, inputs, fn = nodes.pop()
         if type(out) is tuple:  # one node, several outputs: None for those off the path
-            g = [grads.get(id(o)) for o in out]
+            g = [adjoints.pop(id(o), (None, None))[1] for o in out]
             if all(gi is None for gi in g):
                 continue
         else:
-            g = grads.get(id(out))
-            if g is None:
+            entry = adjoints.pop(id(out), None)
+            if entry is None:
                 continue  # not on a path to the loss
-        in_grads = fn(g)
-        for t, gi in zip(inputs, in_grads):
+            g = entry[1]
+        for t, gi in zip(inputs, fn(g)):
             if gi is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                holders[key] = t
-    for key, g in grads.items():
-        t = holders[key]
+            entry = adjoints.get(key)
+            adjoints[key] = (t, gi) if entry is None else (t, entry[1] + gi)
+    for t, g in adjoints.values():
         if t.requires_grad:
             t.grad = g.copy() if t.grad is None else t.grad + g
-    tape.clear()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -329,3 +329,22 @@ def test_non_finite_config_value_is_one_line_and_exit_2(tmp_path, synth_dir, lin
     assert captured.out == "" and not out.exists()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff train: {field} must be finite")
+
+
+def test_max_len_over_the_ceiling_is_one_line_and_exit_2(tmp_path, synth_dir, capsys,
+                                                         monkeypatch):
+    from seqdiff.config import MAX_LEN_LIMIT
+
+    def no_params(*args):
+        raise AssertionError("training built its parameters")
+
+    monkeypatch.setattr("seqdiff.train.init_params", no_params)
+    (tmp_path / "long.cfg").write_text(f"dim = 8\nheads = 2\nmax_len = {MAX_LEN_LIMIT + 1}\n")
+    out = tmp_path / "out.ckpt"
+    capsys.readouterr()
+    assert main(["train", "--data", str(synth_dir), "--config", str(tmp_path / "long.cfg"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"seqdiff train: max_len must be in [1, {MAX_LEN_LIMIT}] "
+                            f"(config.MAX_LEN_LIMIT), got {MAX_LEN_LIMIT + 1}\n")

@@ -1,8 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
-from seqdiff.config import (TrainConfig, format_config, parse_config)
+from seqdiff.config import MAX_LEN_LIMIT, TrainConfig, format_config, parse_config
 
 
 def test_round_trip_through_text():
@@ -86,3 +87,11 @@ def test_validate_rejects_non_finite_floats(field, text):
 def test_validate_requires_dim_divisible_by_heads():
     with pytest.raises(ValueError):
         TrainConfig(dim=30, heads=4).validate()
+
+
+def test_validate_caps_max_len_and_names_the_ceiling():
+    # the transformer's positional table has max_len rows, allocated at init
+    assert TrainConfig(max_len=MAX_LEN_LIMIT).validate().max_len == MAX_LEN_LIMIT
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_len must be in [1, {MAX_LEN_LIMIT}] (config.MAX_LEN_LIMIT), got 10001")):
+        parse_config(f"max_len = {MAX_LEN_LIMIT + 1}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from seqdiff.optim import Adam
-from seqdiff.tensor import ShapeMismatchError, Tape, Tensor, add, backward, mul, sum_all
+from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward, mul,
+                            set_default_dtype, sum_all)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -58,3 +59,31 @@ def test_gradient_shape_mismatch_rejected():
 def test_rejects_nonpositive_learning_rate():
     with pytest.raises(ValueError):
         Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_step_has_the_out_of_place_formulas_bytes(dtype):
+    rng = np.random.default_rng(3)
+    set_default_dtype(dtype)
+    try:
+        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    finally:
+        set_default_dtype(np.float64)
+    adam = Adam([p], lr=0.01)
+    m_buf, v_buf = adam.m[0], adam.v[0]
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    grads = [rng.normal(size=(4, 3)).astype(dtype) for _ in range(5)]
+    grads[2] = None
+    for t, g in enumerate(grads, start=1):
+        p.grad = g
+        adam.step()
+        g = 0.0 if g is None else g
+        ref_m = b1 * ref_m + (1.0 - b1) * g
+        ref_v = b2 * ref_v + (1.0 - b2) * (g * g)
+        ref_p -= 0.01 * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t)) + eps)
+        assert p.data.tobytes() == ref_p.tobytes()
+        assert adam.m[0].tobytes() == ref_m.tobytes()
+        assert adam.v[0].tobytes() == ref_v.tobytes()
+    # the moments were updated in the arrays they started in
+    assert adam.m[0] is m_buf and adam.v[0] is v_buf

@@ -62,7 +62,7 @@ def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     sd = seqdiff  # looked up at call time, so the tracer's wrappers are what runs
-    called, silent_ops = set(), {}
+    called, silent_ops, tape_nodes = set(), {}, {}
     for approximator, ops in _bench_ops().items():
         with tracing.Tracer() as tracer:
             cfg = desk_config(dim=8, blocks=1, heads=2, t=2, batch_size=16, epochs=1,
@@ -76,9 +76,13 @@ def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
             sd.infer(scorer, test[0].history, sd.RngStream(0))
             sd.uncertainty_probe(scorer, test[0].history, n_reverses=2, k=3)
         called |= {name for name, span in tracer.spans.items() if span.calls}
+        # the tracer counts the tape as backward is entered; a backward that
+        # empties or replaces the tape first would read 0 here
+        tape_nodes[approximator] = tracer.counts["tensor.tape_nodes"]
         silent = [op for op in ops
                   if not (tracer.spans[f"tensor.{op}"].calls and tracer.bwd_s[op] > 0)]
         if silent:
             silent_ops[approximator] = silent
     assert sorted(set(tracing.SPANS.values()) - called) == []
     assert silent_ops == {}
+    assert [a for a, n in tape_nodes.items() if n == 0] == []

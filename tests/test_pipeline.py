@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from seqdiff.data import Sample, synth
 from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
 from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rank_items
-from seqdiff.model import Approximator, init_params
+from seqdiff.model import Approximator, init_params, param_shapes
 from seqdiff.rng import RngStream, gaussian_rows
 from seqdiff.schedule import build_schedule
 from seqdiff.tensor import Tensor
@@ -255,6 +256,29 @@ def test_per_gate_gru_checkpoint_is_refused():
         ckpt.tensors[f"gru.bh_{gate}"] = bh[k * cfg.dim:(k + 1) * cfg.dim].copy()
     with pytest.raises(CheckpointShapeError, match="missing tensor 'gru.bh'"):
         model_from_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("approximator,blocks", [("transformer", 0), ("transformer", 2),
+                                                  ("gru", 1)])
+def test_param_shapes_are_the_shapes_init_params_builds(approximator, blocks):
+    cfg = tiny_config(approximator=approximator, blocks=blocks)
+    built = [(name, t.shape) for name, t in init_params(7, cfg, RngStream(1)).named()]
+    assert list(param_shapes(7, cfg).items()) == built
+
+
+def test_checkpoint_metadata_is_checked_against_the_tensors_before_allocating():
+    # metadata claiming 2,000,000 items over the stored 8-row item table:
+    # building the parameters first would draw a 256 MB random table
+    ckpt = _small_checkpoint()
+    ckpt.vocab_size = 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointShapeError, match="item_emb"):
+            model_from_checkpoint(ckpt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 # ---------------------------------------------------------------------------

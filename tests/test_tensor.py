@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape,
                             set_default_dtype, sigmoid, softmax, split, stack,
-                            sum_all, tanh, transpose)
+                            scale, sum_all, tanh, transpose)
 from conftest import finite_diff_grad, max_rel_error
 
 
@@ -377,3 +378,66 @@ def test_backward_diamond_graph_visits_nodes_once():
         b = mul(y, Tensor(np.full(2, 2.0)))
         backward(tape, sum_all(add(a, b)))
     assert np.allclose(x.grad, 6 * x.data)
+
+
+def test_backward_writes_grad_on_leaves_only():
+    # loss = sum(x*w + x); x feeds two ops, and its adjoints are added in
+    # the walk's order: 1 from the add, then 1*w from the mul
+    x = Tensor(np.array([0.1, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.7, 1.3, -0.2]), requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, w)
+        z = add(y, x)
+        loss = sum_all(z)
+        backward(tape, loss)
+    assert y.grad is None and z.grad is None and loss.grad is None
+    ones = np.ones(3)
+    assert x.grad.tobytes() == (ones + ones * w.data).tobytes()
+    assert w.grad.tobytes() == (ones * x.data).tobytes()
+    assert len(tape) == 0
+
+
+def test_backward_takes_each_node_off_the_tape_as_it_runs():
+    x = Tensor(np.ones(4), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        y = mul(x, x)
+        out, inputs, fn = tape._nodes[0]
+        tape._nodes[0] = (out, inputs, lambda g: (seen.append(len(tape)), fn(g))[1])
+        backward(tape, sum_all(relu(y)))
+    # the first node runs last, when every later node is already gone
+    assert seen == [0] and len(tape) == 0
+    assert np.array_equal(x.grad, 2 * x.data)
+
+
+def test_backward_peak_memory_does_not_grow_with_chain_length():
+    x = Tensor(np.ones(10_000), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for _ in range(32):
+            y = scale(y, 1.5)
+        loss = sum_all(y)
+    del y
+    tracemalloc.start()
+    try:
+        backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the adjoint in flight, the one being made and the leaf's .grad copy;
+    # keeping every adjoint would take 32 arrays or more
+    assert peak < 4 * x.data.nbytes, peak
+
+
+def test_adversarial_shift_leaf_gets_grad_and_the_shifted_table_does_not():
+    # adversarial training adds a leaf delta_t to the item table and reads
+    # delta_t.grad after backward; the sum is an intermediate
+    table = Tensor(np.arange(12.0).reshape(4, 3) / 10, requires_grad=True)
+    delta_t = Tensor(np.zeros((4, 3)), requires_grad=True)
+    with Tape() as tape:
+        shifted = add(table, delta_t)
+        backward(tape, sum_all(mul(embedding_lookup(shifted, np.array([1, 3, 1])),
+                                   embedding_lookup(shifted, np.array([2, 2, 0])))))
+    assert shifted.grad is None
+    assert delta_t.grad is not None and delta_t.grad.any()
+    assert delta_t.grad.tobytes() == table.grad.tobytes()
