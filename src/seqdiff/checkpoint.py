@@ -4,7 +4,8 @@ Layout: 8-byte magic, uint32 format version, uint32 metadata length, a JSON
 metadata block (config snapshot, vocabulary size, epoch reached), uint32
 tensor count, then one record per tensor: uint32 name length, utf-8 name,
 uint32 rank, uint64 dims, and the row-major little-endian float64 payload.
-Round trips are bit-exact.
+The records are the model's parameters by name, in `model.param_shapes`
+order. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import TrainConfig, config_from_dict
-from .model import Approximator, init_params, param_shapes
-from .rng import RngStream
+from .model import Approximator, param_shapes
+from .tensor import Tensor
 
 MAGIC = b"SEQDIF01"
 FORMAT_VERSION = 1
@@ -54,32 +55,27 @@ class ModelCheckpoint:
     tensors: dict[str, np.ndarray]
 
 
-def checkpoint_from_params(params, cfg: TrainConfig, vocab_size: int,
-                           epoch: int) -> ModelCheckpoint:
-    tensors = {name: t.data.copy() for name, t in params.named()}
-    return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch,
-                           tensors=tensors)
-
-
 def model_from_checkpoint(ckpt: ModelCheckpoint) -> Approximator:
-    """Rebuild an Approximator whose parameters are the checkpoint tensors.
+    """Rebuild an Approximator whose parameters are copies of the checkpoint tensors.
 
-    Every stored shape is checked against the shapes the metadata implies
-    before any parameter is allocated, so metadata that disagrees with the
-    tensors costs no memory.
+    The stored names and shapes must be those the metadata implies; they are
+    checked before any parameter is allocated, so metadata that disagrees
+    with the tensors costs no memory. Loading draws no random numbers.
     """
-    cfg = ckpt.config
-    for name, shape in param_shapes(ckpt.vocab_size, cfg).items():
+    shapes = param_shapes(ckpt.vocab_size, ckpt.config)
+    for name, shape in shapes.items():
         if name not in ckpt.tensors:
             raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
         stored = ckpt.tensors[name]
         if stored.shape != shape:
             raise CheckpointShapeError(
                 f"tensor {name!r} has shape {stored.shape}, expected {shape}")
-    params = init_params(ckpt.vocab_size, cfg, RngStream(0))
-    for name, tensor in params.named():
-        tensor.data = ckpt.tensors[name].astype(tensor.data.dtype, copy=True)
-    return Approximator(params, cfg)
+    extra = next((name for name in ckpt.tensors if name not in shapes), None)
+    if extra is not None:
+        raise CheckpointShapeError(f"checkpoint holds tensor {extra!r}, which its metadata "
+                                   "does not imply")
+    return Approximator({name: Tensor(ckpt.tensors[name].copy(), requires_grad=True)
+                         for name in shapes}, ckpt.config)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:

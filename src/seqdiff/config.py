@@ -10,6 +10,10 @@ from dataclasses import dataclass
 # data is read, so a mistyped max_len must fail here, not as an out-of-memory
 # kill; 10,000 rows are 10 MB at dim 128.
 MAX_LEN_LIMIT = 10_000
+# A schedule holds six float64 columns of t rows, and the cosine and sqrt
+# families build theirs in a Python loop of t steps: 100,000 steps are
+# 4.8 MB and a fraction of a second.
+MAX_T_LIMIT = 100_000
 
 
 @dataclass
@@ -53,8 +57,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        if not 1 <= self.t <= MAX_T_LIMIT:
+            raise ValueError(f"t must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), "
+                             f"got {self.t}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

@@ -59,13 +59,13 @@ class Scorer:
 class _EmbeddingScorer(Scorer):
     def __init__(self, model: Approximator):
         self.model = model
-        self.n_items = model.params.vocab_size
+        self.n_items = model.vocab_size
 
     def score_vector(self, vecs: np.ndarray) -> np.ndarray:
         # One product per row: in a single (B, dim) @ (dim, V+1) gemm a row's
         # bytes depend on B unless V+1 is a multiple of 8.
         vecs = np.ascontiguousarray(vecs)
-        scores = np.matmul(self.model.params.item_emb.data, vecs[:, :, None])[:, :, 0]
+        scores = np.matmul(self.model.params["item_emb"].data, vecs[:, :, None])[:, :, 0]
         if not np.all(np.isfinite(scores[:, 1:])):
             raise ValueError("the model produced non-finite item scores")
         scores[:, 0] = -np.inf

@@ -72,74 +72,18 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
 # ---------------------------------------------------------------------------
 
 
-def _xavier(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.gaussian((fan_in, fan_out), std=np.sqrt(2.0 / (fan_in + fan_out)))
-
-
-class TransformerParams:
-    """Item/positional tables plus per-block attention and feed-forward weights."""
-
-    def __init__(self, vocab_size: int, cfg: TrainConfig, rng: RngStream):
-        dim = cfg.dim
-        self.vocab_size = vocab_size
-        self.item_emb = Tensor(rng.gaussian((vocab_size + 1, dim), std=1.0 / np.sqrt(dim)),
-                               requires_grad=True)
-        self.pos_emb = Tensor(rng.gaussian((cfg.max_len, dim), std=1.0 / np.sqrt(dim)),
-                              requires_grad=True)
-        self.blocks = []
-        for _ in range(cfg.blocks):
-            blk = {
-                "wq": _xavier(rng, dim, dim),
-                "wk": _xavier(rng, dim, dim),
-                "wv": _xavier(rng, dim, dim),
-                "wo": _xavier(rng, dim, dim),
-                "w1": _xavier(rng, dim, 4 * dim),
-                "b1": np.zeros(4 * dim),
-                "w2": _xavier(rng, 4 * dim, dim),
-                "b2": np.zeros(dim),
-                "ln1_g": np.ones(dim),
-                "ln1_b": np.zeros(dim),
-                "ln2_g": np.ones(dim),
-                "ln2_b": np.zeros(dim),
-            }
-            self.blocks.append({k: Tensor(v, requires_grad=True) for k, v in blk.items()})
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        out = [("item_emb", self.item_emb), ("pos_emb", self.pos_emb)]
-        for i, blk in enumerate(self.blocks):
-            out.extend((f"block{i}.{k}", t) for k, t in blk.items())
-        return out
-
-
 _GRU_GATES = ("r", "z", "n")
 
 
-class GruParams:
-    """Item table plus a single GRU layer: input weights per gate, and the r, z
-    and n gates' recurrent weights side by side in wh (dim, 3·dim) and bh."""
-
-    def __init__(self, vocab_size: int, cfg: TrainConfig, rng: RngStream):
-        dim = cfg.dim
-        self.vocab_size = vocab_size
-        self.item_emb = Tensor(rng.gaussian((vocab_size + 1, dim), std=1.0 / np.sqrt(dim)),
-                               requires_grad=True)
-        self.gates, wh = {}, []
-        for gate in _GRU_GATES:  # draws wi_r, wh_r, wi_z, wh_z, wi_n, wh_n in turn
-            self.gates[f"wi_{gate}"] = Tensor(_xavier(rng, dim, dim), requires_grad=True)
-            wh.append(_xavier(rng, dim, dim))
-            self.gates[f"bi_{gate}"] = Tensor(np.zeros(dim), requires_grad=True)
-        self.gates["wh"] = Tensor(np.concatenate(wh, axis=1), requires_grad=True)
-        self.gates["bh"] = Tensor(np.zeros(3 * dim), requires_grad=True)
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        out = [("item_emb", self.item_emb)]
-        out.extend((f"gru.{k}", t) for k, t in sorted(self.gates.items()))
-        return out
-
-
 def param_shapes(vocab_size: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor `init_params(vocab_size, cfg, ...)` builds,
-    in `named()` order, without allocating any of them."""
+    """Name -> shape of every parameter, in the order of the parameter table
+    and of the checkpoint records, without allocating any of them.
+
+    The transformer has the item and positional tables, then per block the
+    attention and feed-forward weights. The GRU has the item table, then its
+    tensors sorted by name: input weights and biases per gate, and the r, z
+    and n gates' recurrent weights side by side in wh (dim, 3·dim) and bh.
+    """
     dim = cfg.dim
     shapes = {"item_emb": (vocab_size + 1, dim)}
     if cfg.approximator == "gru":
@@ -157,10 +101,33 @@ def param_shapes(vocab_size: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]
     return shapes
 
 
-def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream):
+def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream) -> dict[str, Tensor]:
+    """A fresh parameter table, in `param_shapes` order.
+
+    Embedding tables are normal with std 1/sqrt(dim), other matrices
+    Xavier-normal, biases zero and layer-norm gains one. The transformer
+    draws its matrices in table order. The GRU's table is sorted by name, so
+    its draws are not in table order: after item_emb they are wi_r, wh_r,
+    wi_z, wh_z, wi_n and wh_n, with the three wh draws side by side in gru.wh.
+    """
+    shapes = param_shapes(vocab_size, cfg)
+
+    def xavier(shape):
+        return rng.gaussian(shape, std=np.sqrt(2.0 / sum(shape)))
+
+    drawn = {name: rng.gaussian(shapes[name], std=1.0 / np.sqrt(cfg.dim))
+             for name in ("item_emb", "pos_emb") if name in shapes}
     if cfg.approximator == "gru":
-        return GruParams(vocab_size, cfg, rng)
-    return TransformerParams(vocab_size, cfg, rng)
+        wh = []
+        for gate in _GRU_GATES:
+            drawn[f"gru.wi_{gate}"] = xavier((cfg.dim, cfg.dim))
+            wh.append(xavier((cfg.dim, cfg.dim)))
+        drawn["gru.wh"] = np.concatenate(wh, axis=1)
+    for name, shape in shapes.items():
+        if name not in drawn:
+            drawn[name] = (xavier(shape) if len(shape) == 2
+                           else np.ones(shape) if name.endswith("_g") else np.zeros(shape))
+    return {name: Tensor(drawn[name], requires_grad=True) for name in shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +149,7 @@ def _check_mask(mask: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
-                        params: TransformerParams, cfg: TrainConfig,
+                        params: dict[str, Tensor], cfg: TrainConfig,
                         train_mode: bool, rng: RngStream | None = None) -> Tensor:
     """Bidirectional encoder over valid positions; returns the last valid row.
 
@@ -196,21 +163,22 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
     dh = dim // heads
     key_bias = Tensor(((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n))
 
-    h = add(z_seq, embedding_lookup(params.pos_emb, np.arange(n)))
+    h = add(z_seq, embedding_lookup(params["pos_emb"], np.arange(n)))
     h = dropout(h, cfg.dropout_emb, rng, train_mode)
-    for blk in params.blocks:
-        q = _split_heads(matmul(h, blk["wq"]), b, n, heads, dh)
-        k = _split_heads(matmul(h, blk["wk"]), b, n, heads, dh)
-        v = _split_heads(matmul(h, blk["wv"]), b, n, heads, dh)
+    for i in range(cfg.blocks):
+        w = f"block{i}."
+        q = _split_heads(matmul(h, params[w + "wq"]), b, n, heads, dh)
+        k = _split_heads(matmul(h, params[w + "wk"]), b, n, heads, dh)
+        v = _split_heads(matmul(h, params[w + "wv"]), b, n, heads, dh)
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         probs = softmax(add(scores, key_bias), axis=-1)
         probs = dropout(probs, cfg.dropout_block, rng, train_mode)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
-        attn_out = dropout(matmul(ctx, blk["wo"]), cfg.dropout_block, rng, train_mode)
-        h = layer_norm(add(h, attn_out), blk["ln1_g"], blk["ln1_b"])
-        ff = matmul(relu(add(matmul(h, blk["w1"]), blk["b1"])), blk["w2"])
-        ff = dropout(add(ff, blk["b2"]), cfg.dropout_block, rng, train_mode)
-        h = layer_norm(add(h, ff), blk["ln2_g"], blk["ln2_b"])
+        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng, train_mode)
+        h = layer_norm(add(h, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
+        ff = matmul(relu(add(matmul(h, params[w + "w1"]), params[w + "b1"])), params[w + "w2"])
+        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng, train_mode)
+        h = layer_norm(add(h, ff), params[w + "ln2_g"], params[w + "ln2_b"])
     return gather_rows(h, last)
 
 
@@ -218,7 +186,7 @@ def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:
     return transpose(reshape(x, (b, n, heads, dh)), (0, 2, 1, 3))
 
 
-def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
+def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: dict[str, Tensor],
                 cfg: TrainConfig, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
     """Single-layer gated recurrence; returns the state at the last valid position.
@@ -241,7 +209,8 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: GruParams,
     """
     b, n, dim = z_seq.shape
     _, last = _check_mask(padding_mask, b, n)
-    g = params.gates
+    # the GRU's own tensors: the item table takes no part in the recurrence
+    g = {name[len("gru."):]: t for name, t in params.items() if name.startswith("gru.")}
     if not train_mode and not tracked(z_seq, *g.values()):
         return Tensor(_gru_eval_arrays(z_seq.data, last, g))
     z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
@@ -299,11 +268,13 @@ def _gru_eval_arrays(z: np.ndarray, last: np.ndarray, g: dict[str, Tensor]) -> n
 
 
 class Approximator:
-    """Parameters plus architecture config, with the blended forward pass."""
+    """The parameter table (name -> Tensor, in `param_shapes` order) plus
+    architecture config, with the blended forward pass."""
 
-    def __init__(self, params, cfg: TrainConfig):
+    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
+        self.vocab_size = params["item_emb"].shape[0] - 1
 
     def forward(self, z_seq: Tensor, mask: np.ndarray, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
@@ -316,7 +287,7 @@ class Approximator:
     def reconstruct(self, hist: np.ndarray, mask: np.ndarray, x, steps,
                     rng: RngStream | list[RngStream], train_mode: bool) -> Tensor:
         """Full estimate: embed history, lambda-mix with (x + step encoding), encode."""
-        e_seq = embedding_lookup(self.params.item_emb, hist)
+        e_seq = embedding_lookup(self.params["item_emb"], hist)
         d = step_embedding_batch(steps, self.cfg.dim)
         z = mix(e_seq, x, d, self.cfg.delta, rng, mask, self.cfg.lambda_scalar)
         return self.forward(z, mask, train_mode, rng)
@@ -325,7 +296,7 @@ class Approximator:
                        train_mode: bool, rng: RngStream | None = None,
                        item_table: Tensor | None = None) -> Tensor:
         """Plain next-item encoding (no mixing); used by the adversarial mode."""
-        table = self.params.item_emb if item_table is None else item_table
+        table = self.params["item_emb"] if item_table is None else item_table
         e_seq = embedding_lookup(table, hist)
         b, n, _ = e_seq.shape
         e_seq = mul(e_seq, Tensor(np.asarray(mask, dtype=float).reshape(b, n, 1)))

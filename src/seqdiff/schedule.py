@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MAX_T_LIMIT
+
 KINDS = ("truncated-linear", "linear", "cosine", "sqrt")
 
 _MAX_BETA = 0.999
@@ -69,7 +71,10 @@ def _betas_from_alpha_bar_fn(fn, t: int) -> np.ndarray:
     prev = fn(0.0)
     for i in range(1, t + 1):
         cur = fn(i / t)
-        betas[i - 1] = min(1.0 - cur / prev, _MAX_BETA)
+        # sqrt's alpha_bar is exactly 0 at u = 0.9999 when t is a multiple of
+        # 10,000; at the next step cur < 0 = prev, and 1 - cur/prev, +inf as
+        # an IEEE division, takes the cap
+        betas[i - 1] = min(1.0 - cur / prev, _MAX_BETA) if prev else _MAX_BETA
         prev = cur
     return betas
 
@@ -77,8 +82,8 @@ def _betas_from_alpha_bar_fn(fn, t: int) -> np.ndarray:
 def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
                    tau: float = 1.0, b_constant: bool = False) -> NoiseSchedule:
     """Construct and validate a schedule of the given family and horizon."""
-    if t < 1:
-        raise ValueError(f"horizon must be >= 1, got {t}")
+    if not 1 <= t <= MAX_T_LIMIT:
+        raise ValueError(f"horizon must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {t}")
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
     for name, value in (("a", a), ("b", b), ("tau", tau)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import ModelCheckpoint, checkpoint_from_params
+from .checkpoint import ModelCheckpoint
 from .config import TrainConfig
 from .data import DatasetSplits, Sample, SequenceDataset, split
 from .diffusion import embed_to_x0, q_sample, sample_steps
@@ -127,7 +127,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
             if best_metric is None or score > best_metric:
                 best_metric = score
                 best_epoch = epoch
-                best = {name: t.data.copy() for name, t in model.params.named()}
+                best = {name: t.data.copy() for name, t in model.params.items()}
                 strikes = 0
             else:
                 strikes += 1
@@ -136,14 +136,11 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
                         log_fn(f"early stop at epoch {epoch} "
                                f"(best NDCG@10 {best_metric:.4f} at epoch {best_epoch})")
                     break
-    if best is not None:
-        for name, t in model.params.named():
-            t.data = best[name]
-        snapshot_epoch = best_epoch
-    else:
-        snapshot_epoch = epochs_run
-    ckpt = checkpoint_from_params(model.params, cfg, model.params.vocab_size,
-                                  snapshot_epoch)
+    if best is None:
+        best = {name: t.data.copy() for name, t in model.params.items()}
+        best_epoch = epochs_run
+    ckpt = ModelCheckpoint(config=cfg, vocab_size=model.vocab_size, epoch=best_epoch,
+                           tensors=best)
     return TrainResult(checkpoint=ckpt, epoch_losses=epoch_losses,
                        step_logs=step_logs, best_val_ndcg10=best_metric,
                        epochs_run=epochs_run)
@@ -194,7 +191,7 @@ def _setup(dataset: SequenceDataset, cfg: TrainConfig, mode: str):
         raise ValueError("dataset is empty")
     root = RngStream(cfg.seed)
     model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
-    adam = Adam([t for _, t in model.params.named()], lr=cfg.learning_rate)
+    adam = Adam(list(model.params.values()), lr=cfg.learning_rate)
     return split(dataset), model, adam, root.derive(1), root.derive(2)
 
 
@@ -203,20 +200,20 @@ def train(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResul
     target embedding to that step, reconstruct it from the mixed history,
     and minimize full-vocabulary cross entropy with Adam."""
     splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "diffusion")
-    params = model.params
+    item_emb = model.params["item_emb"]
     scorer = DiffusionScorer(model)  # reads the live parameters at each validation
     schedule = scorer.schedule
 
     def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
         steps = sample_steps(cfg.t, len(targets), train_rng)
         with Tape() as tape:
-            e_target = embedding_lookup(params.item_emb, targets)
+            e_target = embedding_lookup(item_emb, targets)
             x0 = embed_to_x0(e_target, schedule, train_rng)
             eps = train_rng.gaussian(x0.shape)
             xs = q_sample(x0, steps, schedule, eps)
             x0_hat = model.reconstruct(hist, mask, xs, steps, train_rng,
                                        train_mode=True)
-            loss = loss_batch(x0_hat, targets, params.item_emb)
+            loss = loss_batch(x0_hat, targets, item_emb)
             loss_val = loss.item()
             if np.isfinite(loss_val):
                 backward(tape, loss)
@@ -238,8 +235,8 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
     pass bit-identical to the base pass.
     """
     splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "adversarial")
-    params = model.params
-    delta = np.zeros_like(params.item_emb.data)
+    item_emb = model.params["item_emb"]
+    delta = np.zeros_like(item_emb.data)
 
     def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
         nonlocal delta
@@ -247,9 +244,9 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
         with Tape() as tape:
             h = model.encode_history(hist, mask, train_mode=True,
                                      rng=RngStream(drop_seed))
-            base = loss_batch(h, targets, params.item_emb)
+            base = loss_batch(h, targets, item_emb)
             delta_t = Tensor(delta, requires_grad=True)
-            shifted = add(params.item_emb, delta_t)
+            shifted = add(item_emb, delta_t)
             h_adv = model.encode_history(hist, mask, train_mode=True,
                                          rng=RngStream(drop_seed),
                                          item_table=shifted)

@@ -105,17 +105,17 @@ def test_criterion_02_gradient_soundness():
         # a fresh identically-seeded stream freezes every noise and dropout
         # draw, so the train-mode loss is a deterministic function of params
         noise = RngStream(99)
-        e_target = embedding_lookup(params.item_emb, targets)
+        e_target = embedding_lookup(params["item_emb"], targets)
         x0 = embed_to_x0(e_target, schedule, noise)
         xs = q_sample(x0, steps, schedule, noise.gaussian(x0.shape))
         x0_hat = model.reconstruct(hist, mask, xs, steps, noise, train_mode=True)
-        return loss_batch(x0_hat, targets, params.item_emb)
+        return loss_batch(x0_hat, targets, params["item_emb"])
 
     with Tape() as tape:
         backward(tape, pipeline_loss())
     worst = 0.0
     worst_name = ""
-    for name, tensor in params.named():
+    for name, tensor in params.items():
         numeric = finite_diff_grad(lambda: pipeline_loss().item(), tensor, h=1e-5)
         analytic = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad
         err = max_rel_error(analytic, numeric)
@@ -201,7 +201,7 @@ def test_criterion_06_uncertainty_probe(markov_run):
     oracle_params = init_params(6, cfg, RngStream(0))
     table = np.zeros((7, 6))
     table[1:] = np.eye(6)
-    oracle_params.item_emb.data = table
+    oracle_params["item_emb"].data = table
     oracle = DiffusionScorer(_OracleApproximator(oracle_params, cfg, table[3]), 2)
     control, _ = uncertainty_probe(oracle, [1, 2], n_reverses=100, k=5,
                                    base_seed=PROBE_SEED)

@@ -80,7 +80,7 @@ def test_each_score_row_matches_the_row_scored_alone(approximator):
     scorer = NextItemScorer(_model(approximator))
     hists = _histories()
     vecs = scorer.represent_batch(hists, _streams(len(hists)))
-    table = scorer.model.params.item_emb.data
+    table = scorer.model.params["item_emb"].data
     for size in (1, 2, 5, len(vecs)):
         for a in range(0, len(vecs), size):
             block = scorer.score_vector(vecs[a:a + size])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -348,3 +349,40 @@ def test_max_len_over_the_ceiling_is_one_line_and_exit_2(tmp_path, synth_dir, ca
     assert captured.out == "" and not out.exists()
     assert captured.err == (f"seqdiff train: max_len must be in [1, {MAX_LEN_LIMIT}] "
                             f"(config.MAX_LEN_LIMIT), got {MAX_LEN_LIMIT + 1}\n")
+
+
+@pytest.mark.parametrize("command", ["schedule-dump", "train", "infer"])
+def test_horizon_over_the_ceiling_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt,
+                                                         command, capsys, monkeypatch):
+    from seqdiff.config import MAX_T_LIMIT
+
+    def past_the_check(*args):
+        raise AssertionError("the command went past the horizon check")
+
+    # at t = 10**9 a scorer's step table is 8 GB and a schedule 48 GB, so each
+    # command stops here, before allocating, if its check is gone
+    monkeypatch.setattr("seqdiff.schedule._betas_from_alpha_bar_fn", past_the_check)
+    monkeypatch.setattr("seqdiff.train.init_params", past_the_check)
+    monkeypatch.setattr(sys.modules["seqdiff.infer"], "model_from_checkpoint", past_the_check)
+    t = 10**9
+    if command == "schedule-dump":
+        argv = [command, "--kind", "cosine", "--t", str(t), "--out", str(tmp_path / "s.csv")]
+        message = "horizon"
+    elif command == "train":
+        (tmp_path / "long.cfg").write_text(f"dim = 8\nheads = 2\nt = {t}\n")
+        argv = [command, "--data", str(synth_dir), "--config", str(tmp_path / "long.cfg"),
+                "--out", str(tmp_path / "out.ckpt")]
+        message = "t"
+    else:
+        ckpt = load_checkpoint(trained_ckpt)
+        ckpt.config = dataclasses.replace(ckpt.config, t=t)
+        save_checkpoint(ckpt, tmp_path / "long.ckpt")
+        argv = [command, "--ckpt", str(tmp_path / "long.ckpt"), "--sequence", "1,2"]
+        message = "t"
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"seqdiff {command}: {message} must be in [1, {MAX_T_LIMIT}] "
+                            f"(config.MAX_T_LIMIT), got {t}\n")
+    assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "out.ckpt").exists()

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from seqdiff.config import MAX_LEN_LIMIT, TrainConfig, format_config, parse_config
+from seqdiff.config import (MAX_LEN_LIMIT, MAX_T_LIMIT, TrainConfig, format_config,
+                            parse_config)
 
 
 def test_round_trip_through_text():
@@ -95,3 +96,11 @@ def test_validate_caps_max_len_and_names_the_ceiling():
     with pytest.raises(ValueError, match=re.escape(
             f"max_len must be in [1, {MAX_LEN_LIMIT}] (config.MAX_LEN_LIMIT), got 10001")):
         parse_config(f"max_len = {MAX_LEN_LIMIT + 1}")
+
+
+def test_validate_caps_t_and_names_the_ceiling():
+    # every reversal and every schedule holds t rows, built at setup
+    assert TrainConfig(t=MAX_T_LIMIT).validate().t == MAX_T_LIMIT
+    with pytest.raises(ValueError, match=re.escape(
+            f"t must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {10**9}")):
+        parse_config(f"t = {10**9}")

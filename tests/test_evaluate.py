@@ -70,7 +70,7 @@ def _reference_rank_records(scorer, samples, rng_base, mask_history):
         if isinstance(scorer, PopularityScorer):
             scores = np.array(vec, dtype=float)
         else:
-            scores = scorer.model.params.item_emb.data @ vec
+            scores = scorer.model.params["item_emb"].data @ vec
         scores[0] = -np.inf
         if mask_history:
             scores[[it for it in set(sample.history) if it != sample.target]] = -np.inf

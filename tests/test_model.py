@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_config, finite_diff_grad, max_rel_error
-from seqdiff.model import (Approximator, GruParams, TransformerParams,
-                           init_params, mix, step_embedding_batch)
+from seqdiff.model import Approximator, init_params, mix, param_shapes, step_embedding_batch
 from seqdiff.rng import RngStream
 from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, scale,
                             set_default_dtype, sigmoid, sum_all, tanh)
@@ -182,14 +181,14 @@ def test_forward_gradients_match_finite_differences(approximator):
     from seqdiff.tensor import add, embedding_lookup
 
     def loss_value():
-        e = mul(embedding_lookup(model.params.item_emb, hist),
+        e = mul(embedding_lookup(model.params["item_emb"], hist),
                 Tensor(mask[..., None]))
         out = model.forward(add(e, z_const), mask, train_mode=False)
         return sum_all(mul(out, w))
 
     with Tape() as tape:
         backward(tape, loss_value())
-    for name, t in model.params.named():
+    for name, t in model.params.items():
         numeric = finite_diff_grad(lambda: loss_value().item(), t)
         analytic = np.zeros_like(t.data) if t.grad is None else t.grad
         err = max_rel_error(analytic, numeric)
@@ -198,7 +197,7 @@ def test_forward_gradients_match_finite_differences(approximator):
 
 def test_gru_zero_input_zero_bias_gives_zero():
     cfg = tiny_config(approximator="gru", dim=4)
-    params = GruParams(3, cfg, RngStream(1))
+    params = init_params(3, cfg, RngStream(1))
     model = Approximator(params, cfg)
     z = Tensor(np.zeros((2, 3, 4)))
     out = model.forward(z, np.ones((2, 3)), train_mode=False)
@@ -229,9 +228,9 @@ def test_gru_respects_padding():
 
 def test_init_is_deterministic():
     cfg = tiny_config()
-    a = TransformerParams(9, cfg, RngStream(42))
-    b = TransformerParams(9, cfg, RngStream(42))
-    for (na, ta), (nb, tb) in zip(a.named(), b.named()):
+    a = init_params(9, cfg, RngStream(42))
+    b = init_params(9, cfg, RngStream(42))
+    for (na, ta), (nb, tb) in zip(a.items(), b.items()):
         assert na == nb
         assert np.array_equal(ta.data, tb.data)
 
@@ -259,9 +258,17 @@ def test_forward_rejects_masks_that_are_not_right_padded(approximator, mask_row)
         model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, train_mode=False)
 
 
+# the GRU's tensors, in the order the tests below draw their added noise in
+_GRU_KEYS = ("wi_r", "bi_r", "wi_z", "bi_z", "wi_n", "bi_n", "wh", "bh")
+
+
+def _gru_tensors(params):
+    return [params["gru." + k] for k in _GRU_KEYS]
+
+
 def _numpy_gru(params, z_seq, lengths):
     """Plain per-row GRU over the valid prefix of each row; its last state."""
-    g = {k: t.data for k, t in params.gates.items()}
+    g = {k: params["gru." + k].data for k in _GRU_KEYS}
     dim = z_seq.shape[-1]
     for k, gate in enumerate(("r", "z", "n")):
         g[f"wh_{gate}"] = g["wh"][:, k * dim:(k + 1) * dim]
@@ -284,7 +291,7 @@ def test_gru_forward_matches_numpy_reference(train_mode):
     cfg = tiny_config(approximator="gru", dropout_emb=0.0)
     model = _random_model(cfg, seed=3)
     gen = np.random.default_rng(5)
-    for gate in model.params.gates.values():  # nonzero biases, so each one counts
+    for gate in _gru_tensors(model.params):  # nonzero biases, so each one counts
         gate.data += gen.normal(scale=0.1, size=gate.shape)
     lengths = np.array([4, 1, 3, 4])
     mask = (np.arange(4) < lengths[:, None]).astype(float)
@@ -296,7 +303,7 @@ def test_gru_forward_matches_numpy_reference(train_mode):
 
 def _per_gate_gru_eval(params, z_seq):
     """Eval-mode GRU with one h-side product per gate, on (B, 1, dim) rows."""
-    g = params.gates
+    g = {k: params["gru." + k] for k in _GRU_KEYS}
     b, n, dim = z_seq.shape
     x = {gate: add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"]).data.reshape(b, n, 1, dim)
          for gate in ("r", "z", "n")}
@@ -320,7 +327,7 @@ def test_fused_h_side_product_has_the_bytes_of_the_per_gate_products(dim):
     cfg = desk_config(dim=dim, approximator="gru", max_len=8)
     model = _random_model(cfg, seed=6)
     gen = np.random.default_rng(dim)
-    for gate in model.params.gates.values():
+    for gate in _gru_tensors(model.params):
         gate.data += gen.normal(scale=0.1, size=gate.shape)
     z = Tensor(gen.normal(size=(3, 6, dim)))
     out = model.forward(z, np.ones((3, 6)), train_mode=False)
@@ -375,7 +382,7 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeyp
         cfg = desk_config(dim=dim, approximator="gru", max_len=8)
         model = _random_model(cfg, seed=8)
         gen = np.random.default_rng(dim)
-        for gate in model.params.gates.values():  # nonzero biases, so each one counts
+        for gate in _gru_tensors(model.params):  # nonzero biases, so each one counts
             gate.data += gen.normal(scale=0.3, size=gate.shape).astype(dtype)
         lengths = np.array([6, 2, 5, 1, 6])  # right-padded rows of mixed lengths
         mask = (np.arange(6) < lengths[:, None]).astype(float)
@@ -388,7 +395,7 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeyp
         assert taken == [True]
         assert out.data.dtype == taped.data.dtype == np.dtype(dtype)
         assert out.data.tobytes() == taped.data.tobytes()
-        for t in model.params.gates.values():  # nothing tracked: the array path, unrecorded
+        for t in _gru_tensors(model.params):  # nothing tracked: the array path, unrecorded
             t.requires_grad = False
         with Tape() as tape:
             assert model.forward(z, mask, train_mode=False).data.tobytes() == out.data.tobytes()
@@ -401,14 +408,39 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeyp
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
     cfg = tiny_config(approximator="gru")
     dim, std = cfg.dim, np.sqrt(2.0 / (cfg.dim + cfg.dim))
-    params = GruParams(9, cfg, RngStream(4))
+    params = init_params(9, cfg, RngStream(4))
     rng = RngStream(4)
     rng.gaussian((10, dim), std=1.0 / np.sqrt(dim))  # the item table
     for k, gate in enumerate(("r", "z", "n")):
         wi, wh = rng.gaussian((dim, dim), std=std), rng.gaussian((dim, dim), std=std)
-        assert params.gates[f"wi_{gate}"].data.tobytes() == wi.tobytes()
-        assert params.gates["wh"].data[:, k * dim:(k + 1) * dim].tobytes() == wh.tobytes()
-    assert np.array_equal(params.gates["bh"].data, np.zeros(3 * dim))
-    assert [name for name, _ in params.named()] == [
+        assert params[f"gru.wi_{gate}"].data.tobytes() == wi.tobytes()
+        assert params["gru.wh"].data[:, k * dim:(k + 1) * dim].tobytes() == wh.tobytes()
+    assert np.array_equal(params["gru.bh"].data, np.zeros(3 * dim))
+    assert list(params) == [
         "item_emb", "gru.bh", "gru.bi_n", "gru.bi_r", "gru.bi_z",
         "gru.wh", "gru.wi_n", "gru.wi_r", "gru.wi_z"]
+
+
+def test_transformer_init_draws_the_tables_then_each_blocks_matrices_in_order():
+    cfg = tiny_config(blocks=2)
+    dim = cfg.dim
+    params = init_params(9, cfg, RngStream(4))
+    rng = RngStream(4)
+    drawn = {"item_emb": rng.gaussian((10, dim), std=1.0 / np.sqrt(dim)),
+             "pos_emb": rng.gaussian((cfg.max_len, dim), std=1.0 / np.sqrt(dim))}
+    for i in range(cfg.blocks):
+        for k, (fan_in, fan_out) in (("wq", (dim, dim)), ("wk", (dim, dim)), ("wv", (dim, dim)),
+                                     ("wo", (dim, dim)), ("w1", (dim, 4 * dim)),
+                                     ("w2", (4 * dim, dim))):
+            drawn[f"block{i}.{k}"] = rng.gaussian(
+                (fan_in, fan_out), std=np.sqrt(2.0 / (fan_in + fan_out)))
+    for name, t in params.items():
+        if name in drawn:
+            assert t.data.tobytes() == drawn[name].tobytes(), name
+        else:  # biases are zero, layer-norm gains one
+            assert np.array_equal(t.data, np.full(t.shape, float(name.endswith("_g")))), name
+    assert list(params) == ["item_emb", "pos_emb"] + [
+        f"block{i}.{k}" for i in range(cfg.blocks)
+        for k in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2",
+                  "ln1_g", "ln1_b", "ln2_g", "ln2_b")]
+    assert list(params) == list(param_shapes(9, cfg))

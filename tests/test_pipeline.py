@@ -13,13 +13,13 @@ import seqdiff
 from conftest import desk_config
 from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
                                 CheckpointTruncatedError,
-                                CheckpointVersionError, checkpoint_from_params,
+                                CheckpointVersionError, ModelCheckpoint,
                                 load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
 from seqdiff.data import Sample, synth
 from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
-from seqdiff.infer import DiffusionScorer, NextItemScorer, infer, rank_items
+from seqdiff.infer import DiffusionScorer, NextItemScorer, build_scorer, infer, rank_items
 from seqdiff.model import Approximator, init_params, param_shapes
 from seqdiff.rng import RngStream, gaussian_rows
 from seqdiff.schedule import build_schedule
@@ -93,7 +93,7 @@ def rounding(x_0, table):
     """Every item ranked by inner product with x_0, by a scorer whose item table is `table`."""
     cfg = desk_config(dim=table.shape[1], blocks=1, heads=1, t=2)
     params = init_params(len(table) - 1, cfg, RngStream(0))
-    params.item_emb.data = np.asarray(table, dtype=float)
+    params["item_emb"].data = np.asarray(table, dtype=float)
     scorer = NextItemScorer(Approximator(params, cfg))
     return rank_items(scorer.score_vector(x_0[None]))[0].tolist()
 
@@ -149,10 +149,10 @@ def test_rounding_rejects_nonfinite():
 # ---------------------------------------------------------------------------
 
 
-def _small_checkpoint():
-    cfg = tiny_config()
-    params = init_params(7, cfg, RngStream(1))
-    return checkpoint_from_params(params, cfg, 7, epoch=3)
+def _small_checkpoint(**overrides):
+    cfg = tiny_config(**overrides)
+    tensors = {name: t.data.copy() for name, t in init_params(7, cfg, RngStream(1)).items()}
+    return ModelCheckpoint(config=cfg, vocab_size=7, epoch=3, tensors=tensors)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -235,8 +235,24 @@ def test_checkpoint_nonfinite_tensor_rejected(tmp_path):
 def test_model_from_checkpoint_restores_parameters(tmp_path):
     ckpt = _small_checkpoint()
     model = model_from_checkpoint(ckpt)
-    for name, tensor in model.params.named():
+    for name, tensor in model.params.items():
         assert np.array_equal(tensor.data, ckpt.tensors[name])
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_loading_a_checkpoint_draws_nothing_and_copies_its_tensors(approximator, monkeypatch):
+    ckpt = _small_checkpoint(approximator=approximator)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading drew random numbers")
+
+    monkeypatch.setattr(RngStream, "gaussian", no_draws)
+    model = model_from_checkpoint(ckpt)
+    build_scorer(ckpt)
+    assert list(model.params) == list(ckpt.tensors)
+    for name, tensor in model.params.items():
+        assert tensor.data.tobytes() == ckpt.tensors[name].tobytes()
+        assert not np.shares_memory(tensor.data, ckpt.tensors[name]), name
 
 
 def test_model_from_checkpoint_rejects_missing_tensor():
@@ -246,10 +262,18 @@ def test_model_from_checkpoint_rejects_missing_tensor():
         model_from_checkpoint(ckpt)
 
 
+def test_model_from_checkpoint_rejects_a_tensor_the_metadata_does_not_imply():
+    # a 2-block checkpoint whose metadata claims 1 block loaded its first block alone
+    ckpt = _small_checkpoint(blocks=2)
+    ckpt.config = dataclasses.replace(ckpt.config, blocks=1)
+    with pytest.raises(CheckpointShapeError, match="holds tensor 'block1.wq'"):
+        model_from_checkpoint(ckpt)
+
+
 def test_per_gate_gru_checkpoint_is_refused():
     # earlier builds stored one recurrent matrix and bias per gate
-    cfg = tiny_config(approximator="gru")
-    ckpt = checkpoint_from_params(init_params(7, cfg, RngStream(1)), cfg, 7, epoch=3)
+    ckpt = _small_checkpoint(approximator="gru")
+    cfg = ckpt.config
     wh, bh = ckpt.tensors.pop("gru.wh"), ckpt.tensors.pop("gru.bh")
     for k, gate in enumerate(("r", "z", "n")):
         ckpt.tensors[f"gru.wh_{gate}"] = wh[:, k * cfg.dim:(k + 1) * cfg.dim].copy()
@@ -262,7 +286,7 @@ def test_per_gate_gru_checkpoint_is_refused():
                                                   ("gru", 1)])
 def test_param_shapes_are_the_shapes_init_params_builds(approximator, blocks):
     cfg = tiny_config(approximator=approximator, blocks=blocks)
-    built = [(name, t.shape) for name, t in init_params(7, cfg, RngStream(1)).named()]
+    built = [(name, t.shape) for name, t in init_params(7, cfg, RngStream(1)).items()]
     assert list(param_shapes(7, cfg).items()) == built
 
 
@@ -291,7 +315,7 @@ def test_zero_epochs_returns_initialization():
     ds = tiny_dataset()
     result = train(ds, cfg)
     fresh = init_params(ds.n_items, cfg, RngStream(cfg.seed).derive(0))
-    for name, tensor in fresh.named():
+    for name, tensor in fresh.items():
         assert np.array_equal(result.checkpoint.tensors[name], tensor.data)
     assert result.checkpoint.epoch == 0
 
@@ -374,6 +398,22 @@ def test_early_stopping_keeps_best_checkpoint():
     assert result.checkpoint.epoch <= result.epochs_run
 
 
+def test_checkpoint_holds_the_best_epochs_parameters():
+    # at seed 1, validation NDCG@10 peaks at epoch 2 and training stops at epoch 4
+    ds = tiny_dataset(users=40, length=6)
+    cfg = tiny_config(epochs=6, eval_every=1, patience=2, seed=1)
+    result = train(ds, cfg)
+    k = result.checkpoint.epoch
+    assert k < result.epochs_run
+    # the training streams derive from the seed and validation changes no
+    # parameter, so a k-epoch run ends on the parameters of epoch k
+    upto_k = train(ds, dataclasses.replace(cfg, epochs=k, eval_every=0)).checkpoint
+    assert upto_k.epoch == k
+    assert list(result.checkpoint.tensors) == list(upto_k.tensors)
+    for name, arr in upto_k.tensors.items():
+        assert result.checkpoint.tensors[name].tobytes() == arr.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------
@@ -393,7 +433,7 @@ class OracleApproximator(Approximator):
 def _oracle_scorer(target_item, n_items=4, steps=2):
     cfg = tiny_config(dim=n_items, heads=1, t=steps, delta=0.001)
     params = init_params(n_items, cfg, RngStream(0))
-    params.item_emb.data = _orthonormal_table(n_items)
+    params["item_emb"].data = _orthonormal_table(n_items)
     model = OracleApproximator(params, cfg, _orthonormal_table(n_items)[target_item])
     return DiffusionScorer(model, steps)
 
@@ -580,9 +620,9 @@ def test_padding_embedding_row_never_updated():
     init = init_params(ds.n_items, cfg, RngStream(cfg.seed).derive(0))
     result = train(ds, cfg)
     trained_row0 = result.checkpoint.tensors["item_emb"][0]
-    assert np.array_equal(trained_row0, init.item_emb.data[0])
+    assert np.array_equal(trained_row0, init["item_emb"].data[0])
     assert not np.array_equal(result.checkpoint.tensors["item_emb"][1],
-                              init.item_emb.data[1])
+                              init["item_emb"].data[1])
 
 
 def test_reverse_noise_convention_switch_changes_inference():

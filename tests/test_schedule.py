@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,3 +216,23 @@ def test_respaced_table_keeps_alpha_bar_at_the_visited_steps(kind):
     assert np.allclose(resp.alpha_bars, sch.alpha_bars[visited - 1], rtol=1e-10, atol=0)
     # the last reverse step still collapses onto the clean estimate
     assert (resp.coef_x0[0], resp.coef_xs[0], resp.beta_tilde[0]) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_horizon_over_the_ceiling_is_refused_before_any_column_is_built(kind, monkeypatch):
+    from seqdiff.config import MAX_T_LIMIT
+
+    monkeypatch.setattr(np, "empty", None)  # the cosine and sqrt loops' first array
+    monkeypatch.setattr(np, "arange", None)
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(ValueError, match=re.escape(
+            f"horizon must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {10**9}")):
+        build_schedule(kind, 10**9)
+
+
+def test_sqrt_schedule_whose_alpha_bar_reaches_zero_caps_the_next_step():
+    # 1 - sqrt(0.9999 + 1e-4) is exactly 0, so step 10,000 divides by zero
+    sch = build_schedule("sqrt", 10_000)
+    assert sch.betas[-2:].tolist() == [0.999, 0.999]
+    with pytest.raises(ScheduleValidityError, match="beta_20000"):
+        build_schedule("sqrt", 20_000)  # its last step has alpha_bar < 0 before it
