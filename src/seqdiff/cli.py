@@ -44,8 +44,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_schedule_dump(args) -> int:
-    schedule = build_schedule(args.kind, args.t, args.a, args.b, args.tau,
-                              b_constant=args.schedule_b_constant)
+    schedule = build_schedule(args.kind, args.t, args.a, args.b, args.tau)
     dump_schedule_csv(schedule, args.out)
     print(f"wrote {schedule.t} steps of the {schedule.kind} schedule to {args.out}")
     return 0
@@ -168,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=0.2)
     p.add_argument("--b", type=float, default=0.008)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--schedule-b-constant", action="store_true",
-                   help="use a constant offset b instead of b/s")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_schedule_dump)
 

@@ -14,6 +14,10 @@ MAX_LEN_LIMIT = 10_000
 # families build theirs in a Python loop of t steps: 100,000 steps are
 # 4.8 MB and a fraction of a second.
 MAX_T_LIMIT = 100_000
+# Training holds six float64 copies of the parameters: the values, their
+# gradients, Adam's two moments and its two scratch buffers. At 50 M
+# parameters that is 2.4 GB; the paper-default Beauty model has about 2.4 M.
+MAX_PARAMS = 50_000_000
 
 
 @dataclass
@@ -34,8 +38,6 @@ class TrainConfig:
     schedule_a: float = 0.2
     schedule_b: float = 0.008
     schedule_tau: float = 1.0
-    schedule_b_constant: bool = False
-    reverse_noise_sqrt: bool = False
     dropout_block: float = 0.1
     dropout_emb: float = 0.3
     max_len: int = 50
@@ -53,8 +55,12 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         for name, kind in _FIELDS.items():
-            if kind == "float" and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # a float dim would pass every range check; bool is a subclass of int
+            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+                raise ValueError(f"{name} must be of type {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 1 <= self.t <= MAX_T_LIMIT:
@@ -98,6 +104,7 @@ class TrainConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _parse_value(name: str, text: str):

@@ -46,21 +46,15 @@ def q_sample(x_0: Tensor, s, schedule: NoiseSchedule, eps: np.ndarray) -> Tensor
 
 
 def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
-                 schedule: NoiseSchedule, eps_prime: np.ndarray,
-                 noise_sqrt: bool = False) -> np.ndarray:
-    """One reverse step: posterior mean plus beta_tilde-scaled noise.
-
-    The noise term multiplies eps_prime by beta_tilde itself; pass
-    `noise_sqrt=True` for the sqrt(beta_tilde) convention instead. At s=1
-    the posterior degenerates and x0_hat is returned as-is.
-    """
+                 schedule: NoiseSchedule, eps_prime: np.ndarray) -> np.ndarray:
+    """One reverse step: the posterior mean plus eps_prime scaled by beta_tilde
+    itself, not its square root. At s=1 the posterior degenerates to x0_hat."""
     if x_s.shape != x0_hat.shape:
         raise ValueError(f"shape mismatch: x_s {x_s.shape} vs x0_hat {x0_hat.shape}")
     post = posterior(schedule, s)  # validates the step range
     if s == 1:
         return x0_hat.copy()
-    noise_coef = np.sqrt(post.beta_tilde) if noise_sqrt else post.beta_tilde
-    return post.coef_x0 * x0_hat + post.coef_xs * x_s + noise_coef * eps_prime
+    return post.coef_x0 * x0_hat + post.coef_xs * x_s + post.beta_tilde * eps_prime
 
 
 def sample_steps(t: int, size: int | None, rng: RngStream):

@@ -114,9 +114,8 @@ class DiffusionScorer(_EmbeddingScorer):
             raise ValueError(f"reverse steps must be in [1, {cfg.t}] (the trained "
                              f"horizon t), got {self.steps}")
         self.trained_steps = np.arange(1, self.steps + 1) * cfg.t // self.steps
-        self.schedule = build_schedule(
-            cfg.schedule_kind, cfg.t, cfg.schedule_a, cfg.schedule_b,
-            cfg.schedule_tau, cfg.schedule_b_constant)
+        self.schedule = build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a,
+                                       cfg.schedule_b, cfg.schedule_tau)
         if self.steps < cfg.t:
             self.schedule = respace(self.schedule, self.trained_steps)
 
@@ -131,8 +130,7 @@ class DiffusionScorer(_EmbeddingScorer):
             trained = np.full(b, self.trained_steps[i - 1])
             x0_hat = self.model.reconstruct(hist, mask, x, trained, rngs,
                                             train_mode=False).data
-            x = reverse_step(x, x0_hat, i, self.schedule, gaussian_rows(rngs, (dim,)),
-                             noise_sqrt=self.model.cfg.reverse_noise_sqrt)
+            x = reverse_step(x, x0_hat, i, self.schedule, gaussian_rows(rngs, (dim,)))
         return x
 
 

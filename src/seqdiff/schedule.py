@@ -10,9 +10,8 @@ estimate exactly.
 Four families are supported:
 
 * truncated-linear: beta_s = (a/t)*s + b/s, and any raw value above the
-  threshold tau is replaced by one tenth of itself. A `b_constant` variant
-  uses a flat offset b instead of b/s. Only this family reads a, b, tau and
-  b_constant; the others reject them away from their defaults.
+  threshold tau is replaced by one tenth of itself. Only this family reads
+  a, b and tau; the others reject them away from their defaults.
 * linear: endpoints 1e-4..0.02 rescaled by 1000/t so short horizons still
   reach heavy noise.
 * cosine: alpha_bar(u) = cos^2(((u + 0.008)/1.008) * pi/2) ratios, capped
@@ -80,25 +79,22 @@ def _betas_from_alpha_bar_fn(fn, t: int) -> np.ndarray:
 
 
 def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
-                   tau: float = 1.0, b_constant: bool = False) -> NoiseSchedule:
+                   tau: float = 1.0) -> NoiseSchedule:
     """Construct and validate a schedule of the given family and horizon."""
     if not 1 <= t <= MAX_T_LIMIT:
         raise ValueError(f"horizon must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {t}")
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
+    defaults = inspect.signature(build_schedule).parameters
     for name, value in (("a", a), ("b", b), ("tau", tau)):
         if not math.isfinite(value):
             raise ValueError(f"schedule option {name}={value!r} must be finite")
-    if kind != "truncated-linear":
-        defaults = inspect.signature(build_schedule).parameters
-        for name, value in (("a", a), ("b", b), ("tau", tau), ("b_constant", b_constant)):
-            if value != defaults[name].default:
-                raise ValueError(f"schedule option {name}={value!r} applies only to "
-                                 f"truncated-linear, not {kind}")
+        if kind != "truncated-linear" and value != defaults[name].default:
+            raise ValueError(f"schedule option {name}={value!r} applies only to "
+                             f"truncated-linear, not {kind}")
     if kind == "truncated-linear":
         s = np.arange(1, t + 1, dtype=float)
-        offset = b if b_constant else b / s
-        raw = (a / t) * s + offset
+        raw = (a / t) * s + b / s
         betas = np.where(raw > tau, raw / 10.0, raw)
     elif kind == "linear":
         scl = 1000.0 / t

@@ -79,8 +79,8 @@ class Tape:
     """Ordered log of executed primitive ops and their saved intermediates.
 
     Single-owner: one tape per forward/backward pass. `backward` takes the
-    nodes off one by one as it runs them; `clear()` drops every node at
-    once, releasing the arrays the closures captured.
+    nodes off one by one as it runs them; a tape it never walks releases
+    the arrays its closures captured when it is dropped.
     """
 
     def __init__(self):
@@ -97,17 +97,19 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.remove(self)
 
-    def clear(self) -> None:
-        self._nodes.clear()
-
 
 def tracked(*tensors: Tensor) -> bool:
     """True when a tape is active and an op on `tensors` would record on it."""
     return bool(_TAPE_STACK) and any(t.requires_grad for t in tensors)
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
-    out.requires_grad = True
+def _record(out, inputs: tuple[Tensor, ...], backward_fn) -> None:
+    """Append one node to the active tape; every op records through here."""
+    if type(out) is tuple:  # `split`: one node, several outputs
+        for o in out:
+            o.requires_grad = True
+    else:
+        out.requires_grad = True
     _TAPE_STACK[-1]._nodes.append((out, inputs, backward_fn))
 
 
@@ -389,9 +391,7 @@ def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
             return (np.concatenate([np.zeros(lead + (k,), dtype=dtype) if g is None else g
                                     for k, g in zip(sizes, gs)], axis=-1),)
 
-        for o in parts:
-            o.requires_grad = True
-        _TAPE_STACK[-1]._nodes.append((tuple(parts), (x,), bwd))
+        _record(tuple(parts), (x,), bwd)
     return parts
 
 

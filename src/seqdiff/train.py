@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
-from .config import TrainConfig
+from .config import MAX_PARAMS, TrainConfig
 from .data import DatasetSplits, Sample, SequenceDataset, split
 from .diffusion import embed_to_x0, q_sample, sample_steps
 from .evaluate import rank_records
 from .infer import DiffusionScorer, NextItemScorer
 from .metrics import metric_single
-from .model import Approximator, init_params
+from .model import Approximator, init_params, param_shapes
 from .optim import Adam
 from .rng import RngStream
 from .tensor import (Tape, Tensor, add, backward, cross_entropy_rows,
@@ -189,6 +190,10 @@ def _setup(dataset: SequenceDataset, cfg: TrainConfig, mode: str):
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
     if not dataset.sequences:
         raise ValueError("dataset is empty")
+    n_params = sum(math.prod(s) for s in param_shapes(dataset.n_items, cfg).values())
+    if n_params > MAX_PARAMS:
+        raise ValueError(f"the model would have {n_params:,} parameters, above "
+                         f"{MAX_PARAMS:,} (config.MAX_PARAMS)")
     root = RngStream(cfg.seed)
     model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
     adam = Adam(list(model.params.values()), lr=cfg.learning_rate)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -156,10 +158,34 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
     assert captured.err.count("\n") == 1 and "999" in captured.err
 
 
+def _with_config_metadata(ckpt_bytes: bytes, **changes) -> bytes:
+    """Checkpoint bytes with `changes` applied to the config in the JSON
+    metadata block (after the 8-byte magic, u32 version and u32 length);
+    the tensor records are left as they are."""
+    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
+    meta = json.loads(ckpt_bytes[16:16 + meta_len])
+    meta["config"].update(changes)
+    encoded = json.dumps(meta).encode()
+    return ckpt_bytes[:12] + struct.pack("<I", len(encoded)) + encoded + ckpt_bytes[16 + meta_len:]
+
+
+_BAD_CONFIGS = {"train-heads-0": "heads = 0\n",
+                "config-removed-key": "schedule_b_constant = false\n",
+                "train-params-over-ceiling": "dim = 1000000\n"}
+_EXPECTED_ERRORS = {
+    "ckpt-removed-key": "unknown config keys: ['reverse_noise_sqrt']",
+    "ckpt-float-dim": "dim must be of type int, got 16.0",
+    "config-removed-key": "unknown key 'schedule_b_constant'",
+    "train-params-over-ceiling": "(config.MAX_PARAMS)",
+}
+
+
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
                                    "bad-sequence", "missing-data", "steps-above-t",
                                    "infer-topk-negative", "probe-n-negative", "probe-topk-0",
-                                   "train-heads-0", "eval-target-16", "eval-mask-target-16"])
+                                   "train-heads-0", "eval-target-16", "eval-mask-target-16",
+                                   "ckpt-removed-key", "ckpt-float-dim", "config-removed-key",
+                                   "train-params-over-ceiling"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -169,6 +195,11 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         ckpt = load_checkpoint(trained_ckpt)
         ckpt.tensors["item_emb"][1, 0] = float("nan")
         save_checkpoint(ckpt, ckpt_path)
+    elif fault == "ckpt-removed-key":  # written by a build that had this field
+        ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(),
+                                                    reverse_noise_sqrt=False))
+    elif fault == "ckpt-float-dim":
+        ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(), dim=16.0))
     elif fault != "missing-ckpt":
         ckpt_path = trained_ckpt
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
@@ -185,8 +216,8 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
         argv += ["--n", "-5"] if fault == "probe-n-negative" else ["--topk", "0"]
-    elif fault == "train-heads-0":
-        (tmp_path / "bad.cfg").write_text("heads = 0\n")
+    elif fault in _BAD_CONFIGS:
+        (tmp_path / "bad.cfg").write_text(_BAD_CONFIGS[fault])
         argv = ["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),
                 "--out", str(tmp_path / "out.ckpt")]
     elif fault.startswith("eval"):  # items 16 and 17 are not in the checkpoint's 15
@@ -202,6 +233,7 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff {argv[0]}: ")
+    assert _EXPECTED_ERRORS.get(fault, "") in captured.err
     assert not (tmp_path / "probe.csv").exists()
     assert not (tmp_path / "out.ckpt").exists()
 

@@ -9,7 +9,7 @@ from seqdiff.config import (MAX_LEN_LIMIT, MAX_T_LIMIT, TrainConfig, format_conf
 
 def test_round_trip_through_text():
     cfg = TrainConfig(learning_rate=0.003, epochs=7, mode="adversarial",
-                      schedule_b_constant=True, approximator="gru", heads=2,
+                      lambda_scalar=True, approximator="gru", heads=2,
                       dim=16)
     again = parse_config(format_config(cfg))
     assert again == cfg
@@ -67,6 +67,18 @@ def test_parse_rejects_bad_boolean():
     ("dropout_block", -0.1),
     ("dropout_emb", 1.5),
     ("dropout_emb", -0.3),
+    # values of another type: a float dim passes every range check, and
+    # would fail later as a shape
+    ("dim", 8.0),
+    ("t", 4.0),
+    ("blocks", 1.0),
+    ("heads", 2.0),
+    ("max_len", 50.0),
+    ("epochs", True),
+    ("learning_rate", True),
+    ("delta", "0.1"),
+    ("lambda_scalar", 1),
+    ("mode", 1),
 ])
 def test_validate_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -83,6 +95,10 @@ def test_validate_rejects_non_finite_floats(field, text):
     # or delta would only show later as a diverged loss
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         parse_config(f"{field} = {text}")
+
+
+def test_validate_accepts_an_int_for_a_float_field():
+    assert TrainConfig(learning_rate=1, delta=0).validate().learning_rate == 1
 
 
 def test_validate_requires_dim_divisible_by_heads():

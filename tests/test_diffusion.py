@@ -119,11 +119,10 @@ def test_reverse_step_noise_coefficient_literal_vs_sqrt():
     sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
     eps = np.ones((1, 2))
     lit = reverse_step(np.zeros((1, 2)), np.zeros((1, 2)), 2, sch, eps)
-    srt = reverse_step(np.zeros((1, 2)), np.zeros((1, 2)), 2, sch, eps,
-                       noise_sqrt=True)
     beta_tilde = 0.1 / 0.28 * 0.2
+    # the noise is scaled by beta_tilde itself, not by its square root
     assert np.allclose(lit, beta_tilde)
-    assert np.allclose(srt, np.sqrt(beta_tilde))
+    assert not np.allclose(lit, np.sqrt(beta_tilde))
 
 
 def test_reverse_chain_with_oracle_recovers_x0(default_schedule):

@@ -469,7 +469,7 @@ def test_reverse_steps_equal_to_t_walk_the_trained_table():
     got = DiffusionScorer(model, cfg.t).represent([1, 2, 3], RngStream(0))
     # the plain reversal over steps t..1 of the trained schedule
     schedule = build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a, cfg.schedule_b,
-                              cfg.schedule_tau, cfg.schedule_b_constant)
+                              cfg.schedule_tau)
     rngs = [RngStream(0)]
     x = gaussian_rows(rngs, (cfg.dim,))
     for s in range(cfg.t, 0, -1):
@@ -625,23 +625,12 @@ def test_padding_embedding_row_never_updated():
                               init["item_emb"].data[1])
 
 
-def test_reverse_noise_convention_switch_changes_inference():
-    cfg = tiny_config(delta=0.001)
-    params = init_params(12, cfg, RngStream(4))
-    literal = Approximator(params, cfg)
-    sqrt_cfg = dataclasses.replace(cfg, reverse_noise_sqrt=True)
-    sqrt_variant = Approximator(params, sqrt_cfg)
-    a = DiffusionScorer(literal, cfg.t).represent([1, 2, 3], RngStream(0))
-    b = DiffusionScorer(sqrt_variant, cfg.t).represent([1, 2, 3], RngStream(0))
-    assert not np.allclose(a, b)
-
-
 def test_constant_offset_schedule_flows_through_training():
-    cfg = tiny_config(epochs=1, schedule_b_constant=True, schedule_b=0.05)
+    cfg = tiny_config(epochs=1, schedule_b=0.05)
     result = train(tiny_dataset(), cfg)
-    assert result.checkpoint.config.schedule_b_constant
+    assert result.checkpoint.config.schedule_b == 0.05
     model = model_from_checkpoint(result.checkpoint)
     scorer = DiffusionScorer(model, cfg.t)
     assert np.allclose(scorer.schedule.betas,
-                       [(cfg.schedule_a / cfg.t) * s + 0.05
+                       [(cfg.schedule_a / cfg.t) * s + 0.05 / s
                         for s in range(1, cfg.t + 1)])

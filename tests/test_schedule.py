@@ -40,12 +40,6 @@ def test_truncation_bound_property():
         assert np.all(sch.betas[raw > 1.0] == raw[raw > 1.0] / 10)
 
 
-def test_constant_offset_variant():
-    sch = build_schedule("truncated-linear", t=4, a=0.08, b=0.02, tau=1.0,
-                         b_constant=True)
-    assert np.allclose(sch.betas, [0.02 * s + 0.02 for s in (1, 2, 3, 4)])
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_alpha_bar_strictly_decreasing_from_one(kind):
     sch = build_schedule(kind, t=32)
@@ -197,10 +191,9 @@ def test_posterior_table_equals_per_step_reference_exactly(kind):
 
 
 @pytest.mark.parametrize("kind", ["linear", "cosine", "sqrt"])
-@pytest.mark.parametrize("option,value", [("a", 0.9), ("b", 0.0), ("tau", 0.01),
-                                          ("b_constant", True)])
+@pytest.mark.parametrize("option,value", [("a", 0.9), ("b", 0.0), ("tau", 0.01)])
 def test_family_options_apply_only_to_truncated_linear(kind, option, value):
-    build_schedule(kind, t=32, a=0.2, b=0.008, tau=1.0, b_constant=False)  # the defaults
+    build_schedule(kind, t=32, a=0.2, b=0.008, tau=1.0)  # the defaults
     with pytest.raises(ValueError, match=f"option {option}="):
         build_schedule(kind, t=32, **{option: value})
     build_schedule("truncated-linear", t=32, **{option: value})

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import seqdiff.tensor as tensor_module
 from seqdiff.rng import RngStream
 from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
@@ -140,7 +141,25 @@ def test_backward_accumulates_shared_inputs():
     assert np.allclose(x.grad, [5.0])
 
 
-def test_tape_clear_releases_intermediates():
+def test_split_records_its_one_node_through_record(monkeypatch):
+    recorded = []
+    original = tensor_module._record
+
+    def spy(out, inputs, backward_fn):
+        recorded.append(out)
+        original(out, inputs, backward_fn)
+
+    monkeypatch.setattr(tensor_module, "_record", spy)
+    x = Tensor(np.ones((2, 4)), requires_grad=True)
+    with Tape() as tape:
+        parts = split(x, (1, 3))
+    assert len(tape) == 1 and len(recorded) == 1
+    assert all(r is p for r, p in zip(recorded[0], parts))
+    assert all(p.requires_grad for p in parts)
+
+
+def test_dropped_tape_releases_intermediates():
+    # a tape that backward never walks frees its nodes when it is dropped
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     tape = Tape()
     with tape:
@@ -149,10 +168,9 @@ def test_tape_clear_releases_intermediates():
     del y
     gc.collect()
     assert ref() is not None  # the tape still holds it
-    tape.clear()
+    del tape
     gc.collect()
     assert ref() is None
-    assert len(tape) == 0
 
 
 @pytest.mark.parametrize("op,shapes", [
