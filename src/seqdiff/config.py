@@ -14,6 +14,10 @@ MAX_LEN_LIMIT = 10_000
 # families build theirs in a Python loop of t steps: 100,000 steps are
 # 4.8 MB and a fraction of a second.
 MAX_T_LIMIT = 100_000
+# The parameter table holds 12 entries per transformer block, and the
+# parameter ceiling and checkpoint loading build it before they can refuse
+# a model; the paper uses 4 blocks.
+MAX_BLOCKS_LIMIT = 100
 # Training holds six float64 copies of the parameters: the values, their
 # gradients, Adam's two moments and its two scratch buffers. At 50 M
 # parameters that is 2.4 GB; the paper-default Beauty model has about 2.4 M.
@@ -84,8 +88,9 @@ class TrainConfig:
             raise ValueError("heads must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        if self.blocks < 0:
-            raise ValueError("blocks must be >= 0")
+        if not 0 <= self.blocks <= MAX_BLOCKS_LIMIT:
+            raise ValueError(f"blocks must be in [0, {MAX_BLOCKS_LIMIT}] "
+                             f"(config.MAX_BLOCKS_LIMIT), got {self.blocks}")
         if self.mode not in ("diffusion", "adversarial"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.approximator not in ("transformer", "gru"):
@@ -116,11 +121,12 @@ def _parse_value(name: str, text: str):
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"cannot parse boolean {name} = {text!r}")
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+    if kind == "str":
+        return text
+    try:
+        return int(text) if kind == "int" else float(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {kind} {name} = {text!r}") from None
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -139,7 +145,10 @@ def parse_config(text: str) -> TrainConfig:
         if key in lines:
             raise ValueError(f"config line {lineno}: {key} is already set on line {lines[key]}")
         lines[key] = lineno
-        values[key] = _parse_value(key, raw.strip())
+        try:
+            values[key] = _parse_value(key, raw.strip())
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {err}") from None
     return TrainConfig(**values).validate()
 
 

@@ -4,7 +4,9 @@ Historical item embeddings are blended with the (noised or partially
 reversed) target representation plus a sinusoidal step embedding, run
 through a stack of bidirectional post-norm transformer blocks (or a single
 GRU layer, kept for comparison), and the representation at the last valid
-position is emitted as the reconstructed target.
+position is emitted as the reconstructed target. The final transformer
+block computes only that row; its keys and values still cover every valid
+position.
 
 Sequences are right-padded; index 0 of the item table is the padding row
 and never receives gradient. Attention is unmasked across valid positions:
@@ -153,7 +155,10 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
                         train_mode: bool, rng: RngStream | None = None) -> Tensor:
     """Bidirectional encoder over valid positions; returns the last valid row.
 
-    (B, n, dim) -> (B, dim). Dropout is live only in train_mode.
+    (B, n, dim) -> (B, dim). Dropout is live only in train_mode. The final
+    block computes only the row it returns: one query per sequence, from its
+    last valid position, attends to keys and values at every valid position,
+    and the residuals, layer norms and feed-forward run on (B, 1, dim).
     """
     b, n, dim = z_seq.shape
     if n > cfg.max_len:
@@ -167,19 +172,22 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
     h = dropout(h, cfg.dropout_emb, rng, train_mode)
     for i in range(cfg.blocks):
         w = f"block{i}."
-        q = _split_heads(matmul(h, params[w + "wq"]), b, n, heads, dh)
+        # queries: every position, or in the final block each sequence's last valid row
+        rows = h if i < cfg.blocks - 1 else reshape(gather_rows(h, last), (b, 1, dim))
+        m = rows.shape[1]
+        q = _split_heads(matmul(rows, params[w + "wq"]), b, m, heads, dh)
         k = _split_heads(matmul(h, params[w + "wk"]), b, n, heads, dh)
         v = _split_heads(matmul(h, params[w + "wv"]), b, n, heads, dh)
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         probs = softmax(add(scores, key_bias), axis=-1)
         probs = dropout(probs, cfg.dropout_block, rng, train_mode)
-        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
+        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, m, dim))
         attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng, train_mode)
-        h = layer_norm(add(h, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
+        h = layer_norm(add(rows, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
         ff = matmul(relu(add(matmul(h, params[w + "w1"]), params[w + "b1"])), params[w + "w2"])
         ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng, train_mode)
         h = layer_norm(add(h, ff), params[w + "ln2_g"], params[w + "ln2_b"])
-    return gather_rows(h, last)
+    return reshape(h, (b, dim)) if cfg.blocks else gather_rows(h, last)
 
 
 def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:

@@ -51,8 +51,8 @@ def test_each_row_matches_the_row_scored_alone(approximator, scorer_cls, batch):
             assert row.tobytes() == want.tobytes()
 
 
-def _assert_gru_rows_match_alone(scorer_cls, dim):
-    scorer = scorer_cls(_model("gru", dim=dim))
+def _assert_rows_match_alone(approximator, scorer_cls, dim):
+    scorer = scorer_cls(_model(approximator, dim=dim))
     hists = _histories()
     alone = [scorer.represent(h, r) for h, r in zip(hists, _streams(len(hists)))]
     got = scorer.represent_batch(hists, _streams(len(hists)))
@@ -64,14 +64,22 @@ def _assert_gru_rows_match_alone(scorer_cls, dim):
 @pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
 def test_each_gru_row_matches_the_row_scored_alone_at_dim_128(scorer_cls):
     # wider rows take other BLAS kernels than dim 16
-    _assert_gru_rows_match_alone(scorer_cls, 128)
+    _assert_rows_match_alone("gru", scorer_cls, 128)
 
 
 @pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
 def test_each_gru_row_matches_the_row_scored_alone_at_dim_100(scorer_cls):
     # in a (B, dim) @ (dim, N) gemm a row's bytes depend on B when N is not a
     # multiple of 8, so dim 100 catches eval rows that take that product
-    _assert_gru_rows_match_alone(scorer_cls, 100)
+    _assert_rows_match_alone("gru", scorer_cls, 100)
+
+
+@pytest.mark.parametrize("dim", [100, 128])
+@pytest.mark.parametrize("scorer_cls", [DiffusionScorer, NextItemScorer])
+def test_each_transformer_row_matches_the_row_scored_alone_at_wide_dims(scorer_cls, dim):
+    # the final block runs one-row products, which may take other BLAS
+    # kernels than the (n, dim) products of the blocks before it
+    _assert_rows_match_alone("transformer", scorer_cls, dim)
 
 
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])

@@ -171,12 +171,17 @@ def _with_config_metadata(ckpt_bytes: bytes, **changes) -> bytes:
 
 _BAD_CONFIGS = {"train-heads-0": "heads = 0\n",
                 "config-removed-key": "schedule_b_constant = false\n",
-                "train-params-over-ceiling": "dim = 1000000\n"}
+                "train-params-over-ceiling": "dim = 1000000\n",
+                "config-float-dim": "dim = 8.0\n",
+                "config-bad-float": "epochs = 1\nlearning_rate = fast\n"}
 _EXPECTED_ERRORS = {
     "ckpt-removed-key": "unknown config keys: ['reverse_noise_sqrt']",
     "ckpt-float-dim": "dim must be of type int, got 16.0",
     "config-removed-key": "unknown key 'schedule_b_constant'",
     "train-params-over-ceiling": "(config.MAX_PARAMS)",
+    "config-float-dim": "config line 1: cannot parse int dim = '8.0'",
+    "config-bad-float": "config line 2: cannot parse float learning_rate = 'fast'",
+    "ckpt-blocks-10000000": "blocks must be in [0, 100] (config.MAX_BLOCKS_LIMIT), got 10000000",
 }
 
 
@@ -185,7 +190,8 @@ _EXPECTED_ERRORS = {
                                    "infer-topk-negative", "probe-n-negative", "probe-topk-0",
                                    "train-heads-0", "eval-target-16", "eval-mask-target-16",
                                    "ckpt-removed-key", "ckpt-float-dim", "config-removed-key",
-                                   "train-params-over-ceiling"])
+                                   "train-params-over-ceiling", "config-float-dim",
+                                   "config-bad-float", "ckpt-blocks-10000000"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -200,6 +206,9 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
                                                     reverse_noise_sqrt=False))
     elif fault == "ckpt-float-dim":
         ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(), dim=16.0))
+    elif fault == "ckpt-blocks-10000000":
+        ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(),
+                                                    blocks=10_000_000))
     elif fault != "missing-ckpt":
         ckpt_path = trained_ckpt
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]

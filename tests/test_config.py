@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from seqdiff.config import (MAX_LEN_LIMIT, MAX_T_LIMIT, TrainConfig, format_config,
-                            parse_config)
+from seqdiff.config import (MAX_BLOCKS_LIMIT, MAX_LEN_LIMIT, MAX_T_LIMIT, TrainConfig,
+                            format_config, parse_config)
 
 
 def test_round_trip_through_text():
@@ -43,8 +43,20 @@ def test_parse_rejects_a_key_given_twice_naming_both_lines():
 
 
 def test_parse_rejects_bad_boolean():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "config line 1: cannot parse boolean lambda_scalar = 'maybe'")):
         parse_config("lambda_scalar = maybe")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dim = 8.0", "config line 1: cannot parse int dim = '8.0'"),
+    ("epochs = 2\nlearning_rate = fast",
+     "config line 2: cannot parse float learning_rate = 'fast'"),
+])
+def test_parse_errors_name_the_line_and_the_field(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_config(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("field,value", [
@@ -112,6 +124,16 @@ def test_validate_caps_max_len_and_names_the_ceiling():
     with pytest.raises(ValueError, match=re.escape(
             f"max_len must be in [1, {MAX_LEN_LIMIT}] (config.MAX_LEN_LIMIT), got 10001")):
         parse_config(f"max_len = {MAX_LEN_LIMIT + 1}")
+
+
+def test_validate_caps_blocks_and_names_the_ceiling():
+    # the parameter table holds 12 entries per block, built before the
+    # parameter ceiling or a checkpoint's records can refuse the model
+    assert TrainConfig(blocks=MAX_BLOCKS_LIMIT).validate().blocks == MAX_BLOCKS_LIMIT
+    with pytest.raises(ValueError, match=re.escape(
+            f"blocks must be in [0, {MAX_BLOCKS_LIMIT}] (config.MAX_BLOCKS_LIMIT), "
+            f"got {MAX_BLOCKS_LIMIT + 1}")):
+        parse_config(f"blocks = {MAX_BLOCKS_LIMIT + 1}")
 
 
 def test_validate_caps_t_and_names_the_ceiling():

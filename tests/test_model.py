@@ -7,8 +7,9 @@ import pytest
 from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.model import Approximator, init_params, mix, param_shapes, step_embedding_batch
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (Tape, Tensor, add, backward, matmul, mul, scale,
-                            set_default_dtype, sigmoid, sum_all, tanh)
+from seqdiff.tensor import (Tape, Tensor, add, backward, dropout, embedding_lookup,
+                            gather_rows, layer_norm, matmul, mul, relu, reshape, scale,
+                            set_default_dtype, sigmoid, softmax, sum_all, tanh, transpose)
 
 model_mod = importlib.import_module("seqdiff.model")
 
@@ -444,3 +445,110 @@ def test_transformer_init_draws_the_tables_then_each_blocks_matrices_in_order():
         for k in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2",
                   "ln1_g", "ln1_b", "ln2_g", "ln2_b")]
     assert list(params) == list(param_shapes(9, cfg))
+
+
+def _full_rows_transformer_forward(z_seq, padding_mask, params, cfg, train_mode, rng=None):
+    """The transformer forward that runs every block at every position and
+    only then keeps each sequence's last valid row: the reference that
+    `transformer_forward` must match."""
+    b, n, dim = z_seq.shape
+    mask, last = model_mod._check_mask(padding_mask, b, n)
+    heads, dh = cfg.heads, dim // cfg.heads
+    key_bias = Tensor(((1.0 - mask) * model_mod._NEG_INF).reshape(b, 1, 1, n))
+    h = add(z_seq, embedding_lookup(params["pos_emb"], np.arange(n)))
+    h = dropout(h, cfg.dropout_emb, rng, train_mode)
+    for i in range(cfg.blocks):
+        w = f"block{i}."
+        q, k, v = (model_mod._split_heads(matmul(h, params[w + name]), b, n, heads, dh)
+                   for name in ("wq", "wk", "wv"))
+        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng,
+                        train_mode)
+        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
+        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng, train_mode)
+        h = layer_norm(add(h, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
+        ff = matmul(relu(add(matmul(h, params[w + "w1"]), params[w + "b1"])), params[w + "w2"])
+        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng, train_mode)
+        h = layer_norm(add(h, ff), params[w + "ln2_g"], params[w + "ln2_b"])
+    return gather_rows(h, last)
+
+
+def _mixed_length_batch(cfg, seed):
+    """Right-padded rows of lengths 1 to 6, with nonzero biases and gains so
+    that each parameter counts."""
+    model = _random_model(cfg, seed=seed)
+    gen = np.random.default_rng(seed)
+    for t in model.params.values():
+        if t.ndim == 1:
+            t.data += gen.normal(scale=0.3, size=t.shape)
+    lengths = np.array([6, 2, 5, 1, 6, 3])
+    mask = (np.arange(6) < lengths[:, None]).astype(float)
+    z = Tensor(gen.normal(size=(len(lengths), 6, cfg.dim)))
+    return model, z, mask
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_final_block_products_take_one_row_per_sequence(train_mode, monkeypatch):
+    cfg = tiny_config(blocks=2, max_len=6)
+    model, z, mask = _mixed_length_batch(cfg, seed=5)
+    b, n, dim = z.shape
+    names = {id(t): name for name, t in model.params.items()}
+    inputs, calls = {}, []
+
+    def counted(x, y, _fn=matmul):
+        calls.append(names.get(id(y), "activations"))
+        inputs[calls[-1]] = x.shape
+        return _fn(x, y)
+
+    monkeypatch.setattr(model_mod, "matmul", counted)
+    out = model.forward(z, mask, train_mode, RngStream(6) if train_mode else None)
+    assert out.shape == (b, dim)
+    assert len(calls) == 8 * cfg.blocks  # six weight products and two attention products
+    for k in ("wq", "wk", "wv", "wo", "w1"):  # block 0 runs every position
+        assert inputs[f"block0.{k}"] == (b, n, dim), k
+    assert inputs["block0.w2"] == (b, n, 4 * dim)
+    # the final block: keys and values from every position, the rest at one row
+    assert inputs["block1.wk"] == inputs["block1.wv"] == (b, n, dim)
+    assert inputs["block1.wq"] == inputs["block1.wo"] == inputs["block1.w1"] == (b, 1, dim)
+    assert inputs["block1.w2"] == (b, 1, 4 * dim)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_transformer_forward_matches_the_full_rows_reference(blocks):
+    cfg = tiny_config(blocks=blocks, max_len=6)
+    model, z, mask = _mixed_length_batch(cfg, seed=blocks)
+    out = model.forward(z, mask, train_mode=False).data
+    want = _full_rows_transformer_forward(z, mask, model.params, cfg, False).data
+    assert out.shape == want.shape
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_transformer_gradients_match_the_full_rows_reference(blocks):
+    cfg = tiny_config(blocks=blocks, max_len=6, dropout_block=0.0, dropout_emb=0.0)
+    model, z, mask = _mixed_length_batch(cfg, seed=10 + blocks)
+    weights = Tensor(np.random.default_rng(blocks).normal(size=(z.shape[0], cfg.dim)))
+    grads = []
+    for fwd in (model_mod.transformer_forward, _full_rows_transformer_forward):
+        for t in model.params.values():
+            t.grad = None
+        with Tape() as tape:
+            backward(tape, sum_all(mul(fwd(z, mask, model.params, cfg, True, RngStream(3)),
+                                       weights)))
+        grads.append({name: t.grad for name, t in model.params.items()})
+    got, want = grads
+    for name, g in want.items():
+        if g is None:  # the item table takes no part in the forward
+            assert got[name] is None, name
+            continue
+        assert np.abs(got[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1e-300), name
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_zero_blocks_keeps_the_gather_of_the_embedded_rows(train_mode):
+    cfg = tiny_config(blocks=0, max_len=6, dropout_emb=0.3)
+    model, z, mask = _mixed_length_batch(cfg, seed=4)
+    out = model.forward(z, mask, train_mode, RngStream(8) if train_mode else None)
+    want = _full_rows_transformer_forward(z, mask, model.params, cfg, train_mode,
+                                          RngStream(8) if train_mode else None)
+    assert out.data.tobytes() == want.data.tobytes()
