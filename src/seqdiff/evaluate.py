@@ -130,6 +130,8 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
         raise ValueError(f"top-k must be at least 1, got {k}")
     vectors = scorer.represent_batch(
         [sequence] * n_reverses, [RngStream(base_seed + j) for j in range(n_reverses)])
+    if k > scorer.n_items:  # after represent_batch, which names a bad history item first
+        raise ValueError(f"top-k {k} exceeds the catalogue's {scorer.n_items} items")
     tops = [rank_items(scorer.score_vector(vectors[a:a + ROWS_PER_CALL]))[:, :k]
             for a in range(0, n_reverses, ROWS_PER_CALL)]
     probe = UncertaintyProbe(n_reverses=n_reverses, k=k,

@@ -201,7 +201,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes must match or be absent."""
+    """Matrix product over the last two axes; leading axes must match or be absent.
+
+    The forward is a product over rows, so a row's bytes do not depend on its
+    batch. When a 2-D `b` is shared by every row of an `a` of three or more
+    axes, the backward folds the leading axes into rows and forms both
+    gradients as single 2-D GEMMs, not a (B, k, n) stack summed afterwards.
+    """
     a_shape, b_shape = a.data.shape, b.data.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
         raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a_shape} @ {b_shape}")
@@ -214,6 +220,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a_data, b_data = a.data, b.data
 
         def bwd(g):
+            if b_data.ndim == 2 and a_data.ndim > 2:
+                k, n = b_data.shape
+                g_rows = g.reshape(-1, n)
+                return (g_rows @ b_data.T).reshape(a_data.shape), a_data.reshape(-1, k).T @ g_rows
             ga = g @ np.swapaxes(b_data, -1, -2)
             gb = np.swapaxes(a_data, -1, -2) @ g
             return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)

@@ -182,6 +182,7 @@ _EXPECTED_ERRORS = {
     "config-float-dim": "config line 1: cannot parse int dim = '8.0'",
     "config-bad-float": "config line 2: cannot parse float learning_rate = 'fast'",
     "ckpt-blocks-10000000": "blocks must be in [0, 100] (config.MAX_BLOCKS_LIMIT), got 10000000",
+    "probe-topk-over-catalogue": "top-k 16 exceeds the catalogue's 15 items",
 }
 
 
@@ -191,7 +192,8 @@ _EXPECTED_ERRORS = {
                                    "train-heads-0", "eval-target-16", "eval-mask-target-16",
                                    "ckpt-removed-key", "ckpt-float-dim", "config-removed-key",
                                    "train-params-over-ceiling", "config-float-dim",
-                                   "config-bad-float", "ckpt-blocks-10000000"])
+                                   "config-bad-float", "ckpt-blocks-10000000",
+                                   "probe-topk-over-catalogue"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -224,7 +226,8 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         argv += ["--topk", "-3"]
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
-        argv += ["--n", "-5"] if fault == "probe-n-negative" else ["--topk", "0"]
+        argv += {"probe-n-negative": ["--n", "-5"], "probe-topk-0": ["--topk", "0"],
+                 "probe-topk-over-catalogue": ["--topk", "16"]}[fault]
     elif fault in _BAD_CONFIGS:
         (tmp_path / "bad.cfg").write_text(_BAD_CONFIGS[fault])
         argv = ["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),

@@ -247,6 +247,14 @@ def test_uncertainty_probe_deterministic_scorer_hits_exactly_k():
     assert vectors.shape == (10, 30)
 
 
+def test_uncertainty_probe_top_k_may_cover_the_catalogue_and_no_more():
+    scorer = _oracle_scorer(2, n=6)
+    probe, _ = uncertainty_probe(scorer, [1, 2], n_reverses=3, k=6)
+    assert probe.unique_item_count == 6
+    with pytest.raises(ValueError, match="top-k 7 exceeds the catalogue's 6 items"):
+        uncertainty_probe(scorer, [1, 2], n_reverses=3, k=7)
+
+
 def test_uncertainty_probe_monotone_in_reversals():
     cfg = desk_config(dim=16, blocks=1, heads=2, t=4, max_len=8, delta=0.01)
     model = Approximator(init_params(40, cfg, RngStream(6)), cfg)

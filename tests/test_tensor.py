@@ -231,6 +231,54 @@ def test_gradients_match_finite_differences(op, shapes):
         assert max_rel_error(t.grad, numeric) < 1e-7
 
 
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 1, 4), (2, 2, 3, 4)])
+def test_shared_weight_matmul_gradients_match_finite_differences(a_shape):
+    rng = np.random.default_rng(len(a_shape) * 10 + a_shape[-2])
+    a = Tensor(rng.normal(size=a_shape) * 2, requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 5)) * 2, requires_grad=True)
+
+    def forward():
+        out = matmul(a, b)
+        w = np.linspace(-1.0, 1.0, out.size).reshape(out.shape)
+        return sum_all(mul(out, Tensor(w)))
+
+    with Tape() as tape:
+        backward(tape, forward())
+    for t in (a, b):
+        numeric = finite_diff_grad(lambda: forward().item(), t)
+        assert t.grad.shape == t.shape
+        assert max_rel_error(t.grad, numeric) < 1e-7
+
+
+def test_shared_weight_matmul_gradients_stay_float32():
+    set_default_dtype(np.float32)
+    try:
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        with Tape() as tape:
+            backward(tape, sum_all(matmul(a, b)))
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float32
+    finally:
+        set_default_dtype(np.float64)
+
+
+def test_shared_weight_matmul_backward_forms_no_per_row_weight_stack():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=(64, 1, 32)), requires_grad=True)
+    b = Tensor(rng.normal(size=(32, 128)), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(matmul(a, b))
+    tracemalloc.start()
+    try:
+        backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # summing 64 per-row (32, 128) outer products would hold all of them at once
+    assert peak < 64 * 32 * 128 * 8, peak
+
+
 def test_layer_norm_gain_bias_gradients():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(4, 6)))
