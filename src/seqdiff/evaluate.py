@@ -19,6 +19,8 @@ from .infer import ROWS_PER_CALL, Scorer, check_items, rank_items
 from .metrics import DEFAULT_KS, EvalReport, report_from_ranks
 from .rng import RngStream
 
+MAX_REVERSALS = 100_000  # most reversals one probe takes; each holds a stream and a row
+
 
 @dataclass(frozen=True)
 class RankRecord:
@@ -126,6 +128,9 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
     """
     if n_reverses < 1:
         raise ValueError(f"the probe needs at least 1 reversal, got {n_reverses}")
+    if n_reverses > MAX_REVERSALS:  # before the per-reversal inputs are built
+        raise ValueError(f"the probe takes at most {MAX_REVERSALS} reversals "
+                         f"(evaluate.MAX_REVERSALS), got {n_reverses}")
     if k < 1:
         raise ValueError(f"top-k must be at least 1, got {k}")
     vectors = scorer.represent_batch(

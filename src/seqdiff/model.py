@@ -23,9 +23,10 @@ import numpy as np
 
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
-from .tensor import (Tensor, add, dropout, embedding_lookup, gather_rows, layer_norm,
-                     matmul, mul, relu, reshape, scale, sigmoid, sigmoid_array, softmax,
-                     split, stack, tanh, tracked, transpose)
+from .tensor import (Tensor, add, default_dtype, dropout, embedding_lookup, gather_rows,
+                     layer_norm, layer_norm_array, matmul, mul, relu, reshape, scale, sigmoid,
+                     sigmoid_array, softmax, softmax_array, split, stack, tanh, tracked,
+                     transpose)
 
 _NEG_INF = -1e9
 
@@ -159,14 +160,22 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
     block computes only the row it returns: one query per sequence, from its
     last valid position, attends to keys and values at every valid position,
     and the residuals, layer norms and feed-forward run on (B, 1, dim).
+
+    An eval-mode forward that no tape records runs `_transformer_eval_arrays`
+    on the `.data` arrays instead, with the same bytes and no `Tensor` per
+    op, as `gru_forward` does. Under a tape, eval mode takes the taped code.
     """
     b, n, dim = z_seq.shape
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
     mask, last = _check_mask(padding_mask, b, n)
+    # cast as `Tensor()` casts it: a float64 bias would promote float32 scores
+    key_bias = ((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n).astype(default_dtype(), copy=False)
+    if not train_mode and not tracked(z_seq, *params.values()):
+        return Tensor(_transformer_eval_arrays(z_seq.data, key_bias, last, params, cfg))
+    key_bias = Tensor(key_bias)
     heads = cfg.heads
     dh = dim // heads
-    key_bias = Tensor(((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n))
 
     h = add(z_seq, embedding_lookup(params["pos_emb"], np.arange(n)))
     h = dropout(h, cfg.dropout_emb, rng, train_mode)
@@ -192,6 +201,39 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
 
 def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:
     return transpose(reshape(x, (b, n, heads, dh)), (0, 2, 1, 3))
+
+
+def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarray,
+                             params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
+    """The eval-mode `transformer_forward` on plain arrays: (B, n, dim) -> (B, dim).
+
+    The same operations in the same order on the same layouts. The split
+    heads and the transposed keys are copied contiguous, as `Tensor()`
+    copies them in the taped forward, so each product sees the operands it
+    sees there and gives the same bytes.
+    """
+    b, n, dim = z.shape
+    heads = cfg.heads
+    dh = dim // heads
+    p = {name: t.data for name, t in params.items()}
+
+    def split_heads(x: np.ndarray, m: int) -> np.ndarray:
+        return np.ascontiguousarray(x.reshape(b, m, heads, dh).transpose(0, 2, 1, 3))
+
+    h = z + p["pos_emb"][:n]
+    for i in range(cfg.blocks):
+        w = f"block{i}."
+        rows = h if i < cfg.blocks - 1 else h[np.arange(b), last][:, None]
+        m = rows.shape[1]
+        q = split_heads(rows @ p[w + "wq"], m)
+        k = split_heads(h @ p[w + "wk"], n)
+        v = split_heads(h @ p[w + "wv"], n)
+        scores = q @ np.ascontiguousarray(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+        ctx = (softmax_array(scores + key_bias) @ v).transpose(0, 2, 1, 3).reshape(b, m, dim)
+        h, _, _ = layer_norm_array(rows + ctx @ p[w + "wo"], p[w + "ln1_g"], p[w + "ln1_b"])
+        ff = np.maximum(h @ p[w + "w1"] + p[w + "b1"], 0.0) @ p[w + "w2"] + p[w + "b2"]
+        h, _, _ = layer_norm_array(h + ff, p[w + "ln2_g"], p[w + "ln2_b"])
+    return h.reshape(b, dim) if cfg.blocks else h[np.arange(b), last]
 
 
 def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: dict[str, Tensor],

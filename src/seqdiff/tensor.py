@@ -11,8 +11,11 @@ tensors that no op on the tape produced, such as parameters.
 
 Outside a tape an op records nothing, but it still wraps its result in a
 new `Tensor`. Code that runs many tiny ops with nothing recording can check
-`tracked` and run on the `.data` arrays instead, as the GRU's eval-mode
-recurrence does (`model.gru_forward`).
+`tracked` and run on the `.data` arrays instead, as both eval-mode forwards
+do (`model.transformer_forward` and `model.gru_forward`). Sigmoid, softmax
+and layer norm keep their arithmetic in `sigmoid_array`, `softmax_array`
+and `layer_norm_array`, which both the ops and such code run, so the two
+paths share one formula and its bytes.
 """
 
 from __future__ import annotations
@@ -287,13 +290,17 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
+def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-stabilized softmax of a plain array along `axis`; `softmax` runs this."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along `axis`; rows sum to one."""
     if not -a.ndim <= axis < a.ndim:
         raise ValueError(f"axis {axis} invalid for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_array(a.data, axis)
     out = Tensor(p)
     if tracked(a):
 
@@ -305,19 +312,29 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of a plain array over its last axis; `layer_norm` runs this.
+
+    Returns the output, the normalized input and 1 / std, which the backward
+    of `layer_norm` reads.
+    """
+    d = x.shape[-1]
+    # sum / d is the reduction and division np.mean runs, without its wrapper
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    # sum / d is the reduction and division np.mean runs, without its wrapper
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
+    out = Tensor(y)
     if tracked(x, gain, bias):
         g_data = gain.data
 

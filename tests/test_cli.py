@@ -183,6 +183,7 @@ _EXPECTED_ERRORS = {
     "config-bad-float": "config line 2: cannot parse float learning_rate = 'fast'",
     "ckpt-blocks-10000000": "blocks must be in [0, 100] (config.MAX_BLOCKS_LIMIT), got 10000000",
     "probe-topk-over-catalogue": "top-k 16 exceeds the catalogue's 15 items",
+    "probe-n-over-ceiling": "at most 100000 reversals (evaluate.MAX_REVERSALS), got 100000000",
 }
 
 
@@ -193,7 +194,7 @@ _EXPECTED_ERRORS = {
                                    "ckpt-removed-key", "ckpt-float-dim", "config-removed-key",
                                    "train-params-over-ceiling", "config-float-dim",
                                    "config-bad-float", "ckpt-blocks-10000000",
-                                   "probe-topk-over-catalogue"])
+                                   "probe-topk-over-catalogue", "probe-n-over-ceiling"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -227,7 +228,8 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
         argv += {"probe-n-negative": ["--n", "-5"], "probe-topk-0": ["--topk", "0"],
-                 "probe-topk-over-catalogue": ["--topk", "16"]}[fault]
+                 "probe-topk-over-catalogue": ["--topk", "16"],
+                 "probe-n-over-ceiling": ["--n", "100000000"]}[fault]
     elif fault in _BAD_CONFIGS:
         (tmp_path / "bad.cfg").write_text(_BAD_CONFIGS[fault])
         argv = ["train", "--data", str(synth_dir), "--config", str(tmp_path / "bad.cfg"),

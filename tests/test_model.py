@@ -371,23 +371,24 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
         assert len(tape) == 3 * 4 + 14 * n + 2
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("dim", [32, 100, 128])
-def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeypatch):
+def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed):
+    """An eval forward with no tape takes `array_fn` once and gives the bytes
+    of the same call under a tape with tracked parameters, which does not
+    take it; with nothing tracked, a tape takes it and records nothing.
+    `perturbed(params)` names the tensors that get nonzero noise."""
     taken = []
-    array_path = model_mod._gru_eval_arrays
-    monkeypatch.setattr(model_mod, "_gru_eval_arrays",
+    array_path = getattr(model_mod, array_fn)
+    monkeypatch.setattr(model_mod, array_fn,
                         lambda *args: taken.append(True) or array_path(*args))
     set_default_dtype(dtype)
     try:
-        cfg = desk_config(dim=dim, approximator="gru", max_len=8)
         model = _random_model(cfg, seed=8)
-        gen = np.random.default_rng(dim)
-        for gate in _gru_tensors(model.params):  # nonzero biases, so each one counts
-            gate.data += gen.normal(scale=0.3, size=gate.shape).astype(dtype)
+        gen = np.random.default_rng(cfg.dim)
+        for t in perturbed(model.params):
+            t.data += gen.normal(scale=0.3, size=t.shape).astype(dtype)
         lengths = np.array([6, 2, 5, 1, 6])  # right-padded rows of mixed lengths
         mask = (np.arange(6) < lengths[:, None]).astype(float)
-        z = Tensor(gen.normal(size=(5, 6, dim)))
+        z = Tensor(gen.normal(size=(5, 6, cfg.dim)))
         out = model.forward(z, mask, train_mode=False)
         assert taken == [True]
         with Tape() as tape:  # the same eval call, recorded
@@ -396,7 +397,7 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeyp
         assert taken == [True]
         assert out.data.dtype == taped.data.dtype == np.dtype(dtype)
         assert out.data.tobytes() == taped.data.tobytes()
-        for t in _gru_tensors(model.params):  # nothing tracked: the array path, unrecorded
+        for t in model.params.values():  # nothing tracked: the array path, unrecorded
             t.requires_grad = False
         with Tape() as tape:
             assert model.forward(z, mask, train_mode=False).data.tobytes() == out.data.tobytes()
@@ -404,6 +405,14 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeyp
         assert taken == [True, True]
     finally:
         set_default_dtype(np.float64)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dim", [32, 100, 128])
+def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeypatch):
+    # every GRU tensor perturbed: nonzero biases, so each one counts
+    _check_eval_array_path(monkeypatch, "_gru_eval_arrays", dtype,
+                           desk_config(dim=dim, approximator="gru", max_len=8), _gru_tensors)
 
 
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
@@ -501,7 +510,8 @@ def test_final_block_products_take_one_row_per_sequence(train_mode, monkeypatch)
         return _fn(x, y)
 
     monkeypatch.setattr(model_mod, "matmul", counted)
-    out = model.forward(z, mask, train_mode, RngStream(6) if train_mode else None)
+    with Tape():  # tracked parameters: eval mode too runs the taped forward, which calls matmul
+        out = model.forward(z, mask, train_mode, RngStream(6) if train_mode else None)
     assert out.shape == (b, dim)
     assert len(calls) == 8 * cfg.blocks  # six weight products and two attention products
     for k in ("wq", "wk", "wv", "wo", "w1"):  # block 0 runs every position
@@ -552,3 +562,14 @@ def test_zero_blocks_keeps_the_gather_of_the_embedded_rows(train_mode):
     want = _full_rows_transformer_forward(z, mask, model.params, cfg, train_mode,
                                           RngStream(8) if train_mode else None)
     assert out.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 4])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dim", [32, 100, 128])
+def test_transformer_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, blocks,
+                                                                     monkeypatch):
+    # nonzero biases and layer-norm gains, so each one counts
+    _check_eval_array_path(monkeypatch, "_transformer_eval_arrays", dtype,
+                           desk_config(dim=dim, blocks=blocks, max_len=8),
+                           lambda params: [t for t in params.values() if t.ndim == 1])

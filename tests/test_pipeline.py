@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
                                 CheckpointVersionError, ModelCheckpoint,
                                 load_checkpoint, model_from_checkpoint,
                                 save_checkpoint)
-from seqdiff.data import Sample, synth
+from seqdiff.data import Sample, split, synth
 from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
 from seqdiff.infer import DiffusionScorer, NextItemScorer, build_scorer, infer, rank_items
@@ -537,6 +538,36 @@ def test_infer_truncates_to_max_len():
     long = infer(scorer, [1, 2, 3, 4, 5, 6], RngStream(9))
     short = infer(scorer, [3, 4, 5, 6], RngStream(9))
     assert long == short
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, monkeypatch):
+    # a forward that falls back to the taped eval path keeps its bytes but
+    # loses the array path's speed; this counts where each eval forward went
+    model_mod = importlib.import_module("seqdiff.model")
+    forward_fn, array_fn = {"transformer": ("transformer_forward", "_transformer_eval_arrays"),
+                            "gru": ("gru_forward", "_gru_eval_arrays")}[approximator]
+    ds = tiny_dataset()
+    scorer = build_scorer(train(ds, tiny_config(approximator=approximator, epochs=1)).checkpoint)
+    test = split(ds).test
+    calls = {"eval forward": 0, "array path": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            if key == "array path" or not args[4]:  # args[4] is train_mode
+                calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(model_mod, forward_fn,
+                        counting("eval forward", getattr(model_mod, forward_fn)))
+    monkeypatch.setattr(model_mod, array_fn, counting("array path", getattr(model_mod, array_fn)))
+    evaluate(scorer, test, seed=1)
+    infer(scorer, [3, 1, 4], RngStream(2))
+    uncertainty_probe(scorer, [3, 1, 4], n_reverses=3, k=5)
+    evaluate(NextItemScorer(scorer.model), test[:4], seed=1)
+    assert calls["eval forward"] > 0
+    assert calls["array path"] == calls["eval forward"]
 
 
 # ---------------------------------------------------------------------------
