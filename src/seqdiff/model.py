@@ -207,10 +207,11 @@ def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarr
                              params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
     """The eval-mode `transformer_forward` on plain arrays: (B, n, dim) -> (B, dim).
 
-    The same operations in the same order on the same layouts. The split
-    heads and the transposed keys are copied contiguous, as `Tensor()`
-    copies them in the taped forward, so each product sees the operands it
-    sees there and gives the same bytes.
+    The same operations in the same order on the same shapes. The split
+    heads stay strided views, which `Tensor()` copies contiguous in the
+    taped forward; only the transposed keys are copied. The byte test in
+    `tests/test_model.py` checks that this gives the taped bytes, and a
+    BLAS build on which it does not fails there.
     """
     b, n, dim = z.shape
     heads = cfg.heads
@@ -218,7 +219,7 @@ def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarr
     p = {name: t.data for name, t in params.items()}
 
     def split_heads(x: np.ndarray, m: int) -> np.ndarray:
-        return np.ascontiguousarray(x.reshape(b, m, heads, dh).transpose(0, 2, 1, 3))
+        return x.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
 
     h = z + p["pos_emb"][:n]
     for i in range(cfg.blocks):

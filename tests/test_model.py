@@ -371,11 +371,13 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
         assert len(tape) == 3 * 4 + 14 * n + 2
 
 
-def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed):
+def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed, untracked):
     """An eval forward with no tape takes `array_fn` once and gives the bytes
     of the same call under a tape with tracked parameters, which does not
-    take it; with nothing tracked, a tape takes it and records nothing.
-    `perturbed(params)` names the tensors that get nonzero noise."""
+    take it; with the forward's own tensors untracked, a tape takes it and
+    records nothing. `perturbed(params)` names the tensors that get nonzero
+    noise, `untracked(params)` the ones whose tracking is cleared; the rest
+    stay tracked, so a forward that checks them leaves the array path."""
     taken = []
     array_path = getattr(model_mod, array_fn)
     monkeypatch.setattr(model_mod, array_fn,
@@ -397,7 +399,7 @@ def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed):
         assert taken == [True]
         assert out.data.dtype == taped.data.dtype == np.dtype(dtype)
         assert out.data.tobytes() == taped.data.tobytes()
-        for t in model.params.values():  # nothing tracked: the array path, unrecorded
+        for t in untracked(model.params):  # the array path, unrecorded
             t.requires_grad = False
         with Tape() as tape:
             assert model.forward(z, mask, train_mode=False).data.tobytes() == out.data.tobytes()
@@ -410,9 +412,11 @@ def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("dim", [32, 100, 128])
 def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeypatch):
-    # every GRU tensor perturbed: nonzero biases, so each one counts
+    # every GRU tensor perturbed: nonzero biases, so each one counts; the
+    # item table stays tracked, as it takes no part in the recurrence
     _check_eval_array_path(monkeypatch, "_gru_eval_arrays", dtype,
-                           desk_config(dim=dim, approximator="gru", max_len=8), _gru_tensors)
+                           desk_config(dim=dim, approximator="gru", max_len=8),
+                           _gru_tensors, _gru_tensors)
 
 
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
@@ -569,7 +573,9 @@ def test_zero_blocks_keeps_the_gather_of_the_embedded_rows(train_mode):
 @pytest.mark.parametrize("dim", [32, 100, 128])
 def test_transformer_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, blocks,
                                                                      monkeypatch):
-    # nonzero biases and layer-norm gains, so each one counts
+    # nonzero biases and layer-norm gains, so each one counts; every tensor
+    # untracked, the item table too, as the transformer's condition checks it
     _check_eval_array_path(monkeypatch, "_transformer_eval_arrays", dtype,
                            desk_config(dim=dim, blocks=blocks, max_len=8),
-                           lambda params: [t for t in params.values() if t.ndim == 1])
+                           lambda params: [t for t in params.values() if t.ndim == 1],
+                           lambda params: list(params.values()))
