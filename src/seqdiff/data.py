@@ -18,6 +18,13 @@ import numpy as np
 
 from .rng import RngStream
 
+# `synth` builds one id string per item (and the markov kind a successor per
+# item) and one Python int per action before it writes anything, so a
+# mistyped size must fail here, not as an out-of-memory kill: a million
+# items take about 70 MB, ten million actions up to about 500 MB.
+MAX_SYNTH_ITEMS = 1_000_000
+MAX_SYNTH_ACTIONS = 10_000_000
+
 
 class DataFormatError(ValueError):
     """A raw interaction line could not be parsed."""
@@ -191,6 +198,12 @@ def synth(kind: str, n_users: int, n_items: int, seq_len: int,
         raise ValueError(
             f"need n_items >= 2, seq_len >= 3, n_users >= 1; "
             f"got {n_items}, {seq_len}, {n_users}")
+    if n_items > MAX_SYNTH_ITEMS:
+        raise ValueError(f"n_items must be at most {MAX_SYNTH_ITEMS} "
+                         f"(data.MAX_SYNTH_ITEMS), got {n_items}")
+    if n_users * seq_len > MAX_SYNTH_ACTIONS:
+        raise ValueError(f"n_users * seq_len must be at most {MAX_SYNTH_ACTIONS} "
+                         f"(data.MAX_SYNTH_ACTIONS), got {n_users} * {seq_len}")
     if kind not in ("cyclic", "markov"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = RngStream(seed)

@@ -54,17 +54,27 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
     `scalar_lambda`, per dimension). delta=0 reduces to the raw embeddings.
     Padded positions come out as zero vectors. `rng` is one stream, or a
     list of one stream per row that each draw that row's lambda block.
+
+    When no tape records `e_seq` or `x`, the blend runs on the `.data`
+    arrays, cast to the default dtype as `Tensor()` casts them, and only z
+    is wrapped: the taped ops' bytes, since z = e + lambda·u is summed the
+    other way round into the product, which IEEE addition allows.
     """
     b, n, dim = e_seq.shape
-    x_data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    u = add(reshape(x if isinstance(x, Tensor) else Tensor(x_data), (b, 1, dim)),
-            Tensor(np.asarray(d).reshape(b, 1, dim)))
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    d = np.asarray(d, dtype=default_dtype()).reshape(b, 1, dim)
     lam_shape = (n, 1) if scalar_lambda else (n, dim)
     if isinstance(rng, RngStream):
         lam = rng.gaussian((b, *lam_shape), mean=delta, std=np.sqrt(delta))
     else:
         lam = gaussian_rows(rng, lam_shape, delta, np.sqrt(delta))
-    z = add(e_seq, mul(Tensor(lam), u))
+    if not tracked(e_seq, x):
+        z = lam.astype(default_dtype(), copy=False) * (x.data.reshape(b, 1, dim) + d)
+        z += e_seq.data
+        if mask is not None:
+            z *= mask.reshape(b, n, 1).astype(z.dtype, copy=False)
+        return Tensor(z)
+    z = add(e_seq, mul(Tensor(lam), add(reshape(x, (b, 1, dim)), Tensor(d))))
     if mask is not None:
         z = mul(z, Tensor(mask.reshape(b, n, 1).astype(z.data.dtype)))
     return z
@@ -209,7 +219,10 @@ def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarr
 
     The same operations in the same order on the same shapes. The split
     heads stay strided views, which `Tensor()` copies contiguous in the
-    taped forward; only the transposed keys are copied. The byte test in
+    taped forward; only the transposed keys are copied. Scaling, biases,
+    relu and residual sums run in place on the products this function
+    made, with each sum's operands swapped where that saves an array; IEEE
+    addition commutes, so the bytes do not change. The byte test in
     `tests/test_model.py` checks that this gives the taped bytes, and a
     BLAS build on which it does not fails there.
     """
@@ -229,11 +242,19 @@ def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarr
         q = split_heads(rows @ p[w + "wq"], m)
         k = split_heads(h @ p[w + "wk"], n)
         v = split_heads(h @ p[w + "wv"], n)
-        scores = q @ np.ascontiguousarray(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-        ctx = (softmax_array(scores + key_bias) @ v).transpose(0, 2, 1, 3).reshape(b, m, dim)
-        h, _, _ = layer_norm_array(rows + ctx @ p[w + "wo"], p[w + "ln1_g"], p[w + "ln1_b"])
-        ff = np.maximum(h @ p[w + "w1"] + p[w + "b1"], 0.0) @ p[w + "w2"] + p[w + "b2"]
-        h, _, _ = layer_norm_array(h + ff, p[w + "ln2_g"], p[w + "ln2_b"])
+        scores = q @ np.ascontiguousarray(k.transpose(0, 1, 3, 2))
+        scores *= 1.0 / math.sqrt(dh)
+        scores += key_bias
+        ctx = (softmax_array(scores) @ v).transpose(0, 2, 1, 3).reshape(b, m, dim)
+        attn = ctx @ p[w + "wo"]
+        attn += rows
+        h, _, _ = layer_norm_array(attn, p[w + "ln1_g"], p[w + "ln1_b"])
+        ff = h @ p[w + "w1"]
+        ff += p[w + "b1"]
+        ff = np.maximum(ff, 0.0, out=ff) @ p[w + "w2"]
+        ff += p[w + "b2"]
+        ff += h
+        h, _, _ = layer_norm_array(ff, p[w + "ln2_g"], p[w + "ln2_b"])
     return h.reshape(b, dim) if cfg.blocks else h[np.arange(b), last]
 
 
@@ -292,7 +313,9 @@ def _gru_eval_arrays(z: np.ndarray, last: np.ndarray, g: dict[str, Tensor]) -> n
     Rows stay (B, 1, dim), so each h-side product is one vector-matrix
     product per row. The r and z gates' input parts are added into their
     columns of the h-side product, which then takes one sigmoid; both ops
-    are element-wise, so the bytes are those of the taped loop. No array
+    are element-wise, so the bytes are those of the taped loop. The bias,
+    tanh and state update run in place on arrays the loop made, each sum
+    with its operands swapped where that saves an array. No array
     is larger than one gate's (B, n, dim) input product: a joined
     (B, n, 2·dim) r|z input array gave the same bytes, but the training
     runs that followed it in one process took more page faults.
@@ -308,12 +331,19 @@ def _gru_eval_arrays(z: np.ndarray, last: np.ndarray, g: dict[str, Tensor]) -> n
     h = np.zeros((b, 1, dim), dtype=z.dtype)
     states = np.empty((b, n, dim), dtype=z.dtype)
     for i in range(n):
-        hs = h @ wh + bh
+        hs = h @ wh
+        hs += bh
         hs[..., :dim] += xr[i]
         hs[..., dim:2 * dim] += xz[i]
         rz = sigmoid_array(hs[..., :2 * dim])
-        cand = np.tanh(xn[i] + rz[..., :dim] * hs[..., 2 * dim:])
-        h = cand + rz[..., dim:] * (h + cand * -1.0)
+        cand = rz[..., :dim] * hs[..., 2 * dim:]
+        cand += xn[i]
+        np.tanh(cand, out=cand)
+        h_new = cand * -1.0
+        h_new += h
+        h_new *= rz[..., dim:]
+        h_new += cand
+        h = h_new
         states[:, i] = h[:, 0]
     return states[np.arange(b), last]
 

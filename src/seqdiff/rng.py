@@ -54,6 +54,16 @@ def gaussian_rows(streams, row_shape, mean: float = 0.0, std: float = 1.0) -> np
     """One (1, *row_shape) draw from each stream, stacked in stream order.
 
     Row i equals `streams[i].gaussian((1, *row_shape), mean, std)`, so a
-    row's values do not depend on the other streams in the batch.
+    row's values do not depend on the other streams in the batch. Each
+    stream fills its own row of one preallocated float64 block, which is
+    then scaled by `std` and shifted by `mean` in place: the products and
+    sums of `mean + std * z`, taken in the other order, so the same bytes.
     """
-    return np.concatenate([s.gaussian((1, *row_shape), mean, std) for s in streams])
+    if std < 0:
+        raise ValueError(f"std must be >= 0, got {std}")
+    out = np.empty((len(streams), *row_shape))
+    for s, row in zip(streams, out):
+        s._gen.standard_normal(out=row)
+    out *= std
+    out += mean
+    return out

@@ -12,10 +12,11 @@ tensors that no op on the tape produced, such as parameters.
 Outside a tape an op records nothing, but it still wraps its result in a
 new `Tensor`. Code that runs many tiny ops with nothing recording can check
 `tracked` and run on the `.data` arrays instead, as both eval-mode forwards
-do (`model.transformer_forward` and `model.gru_forward`). Sigmoid, softmax
-and layer norm keep their arithmetic in `sigmoid_array`, `softmax_array`
-and `layer_norm_array`, which both the ops and such code run, so the two
-paths share one formula and its bytes.
+and `model.mix` do. Sigmoid, softmax and layer norm keep their arithmetic
+in `sigmoid_array`, `softmax_array` and `layer_norm_array`, which both the
+ops and such code run, so the two paths share one formula and its bytes.
+These helpers work in place on the temporaries they make themselves and
+never write into their inputs; their outputs share no memory with them.
 """
 
 from __future__ import annotations
@@ -262,8 +263,14 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid_array(a: np.ndarray) -> np.ndarray:
     """Element-wise logistic function of a plain array; `sigmoid` runs this."""
     # clamping keeps exp in range; the output is already saturated beyond +/-500.
-    # np.minimum(np.maximum(...)) gives np.clip's bytes without its wrapper's cost.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(a, -500.0), 500.0)))
+    # np.minimum(np.maximum(...)) gives np.clip's bytes without its wrapper's cost;
+    # asarray keeps a 0-d result an array, which the in-place steps need.
+    y = np.asarray(np.maximum(a, -500.0))
+    np.minimum(y, 500.0, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.divide(1.0, y, out=y)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -292,8 +299,10 @@ def sum_all(a: Tensor) -> Tensor:
 
 def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-stabilized softmax of a plain array along `axis`; `softmax` runs this."""
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = a - a.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -323,8 +332,11 @@ def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     # sum / d is the reduction and division np.mean runs, without its wrapper
     xc = x - x.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    xhat = xc
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

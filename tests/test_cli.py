@@ -51,6 +51,18 @@ def test_preprocess_command(tmp_path, capsys):
     assert "6 sequences, 4 items, 36 actions" in captured
 
 
+@pytest.mark.parametrize("size", [["--items", "10000000000", "--users", "2"],
+                                  ["--items", "50", "--users", "1000000000"]])
+def test_synth_over_a_size_ceiling_is_one_line_and_exit_2(tmp_path, size, capsys):
+    out = tmp_path / "data"
+    assert main(["synth", "--kind", "markov", *size, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("seqdiff synth: n_")
+    assert "(data.MAX_SYNTH_" in captured.err
+
+
 def test_synth_writes_loadable_dataset(synth_dir):
     text = (synth_dir / "sequences.txt").read_text().strip().splitlines()
     assert len(text) == 60

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seqdiff.data import (DataFormatError, InteractionRecord, PreprocessError,
-                          ingest, load_processed, markov_transition_matrix,
-                          preprocess, save_processed, split, synth)
+from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, DataFormatError,
+                          InteractionRecord, PreprocessError, ingest, load_processed,
+                          markov_transition_matrix, preprocess, save_processed, split,
+                          synth)
 
 
 def _write(tmp_path, text):
@@ -215,6 +218,25 @@ def test_synth_rejects_bad_sizes():
         synth("cyclic", 1, 5, 2, seed=0)
     with pytest.raises(ValueError):
         synth("spiral", 1, 5, 5, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "markov"])
+@pytest.mark.parametrize("users, items, length, field", [
+    (2, MAX_SYNTH_ITEMS + 1, 5, "n_items"),
+    (2, 10**10, 5, "n_items"),
+    (MAX_SYNTH_ACTIONS // 4 + 1, 10, 4, "n_users \\* seq_len"),
+    (10**9, 10, 20, "n_users \\* seq_len"),
+])
+def test_synth_refuses_sizes_over_the_ceilings_before_allocating(kind, users, items, length,
+                                                                 field):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{field} must be at most"):
+            synth(kind, users, items, length, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_save_load_round_trip(tmp_path):

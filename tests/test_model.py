@@ -87,6 +87,50 @@ def test_mix_scalar_lambda_mode():
         assert np.allclose(row[i], row[i][0])
 
 
+@pytest.mark.parametrize("streams", ["one", "per-row"])
+@pytest.mark.parametrize("scalar_lambda", [False, True])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_lambda,
+                                                     streams, monkeypatch):
+    # with nothing recording, `mix` blends on plain arrays and calls no
+    # tensor op; under a tape with the item table tracked it takes the ops
+    calls = []
+    for op in ("add", "mul"):
+        monkeypatch.setattr(model_mod, op,
+                            lambda *a, _fn=getattr(model_mod, op): calls.append(1) or _fn(*a))
+    set_default_dtype(dtype)
+    try:
+        cfg = desk_config(dim=16, max_len=6, delta=0.3, lambda_scalar=scalar_lambda,
+                          approximator=approximator)
+        model = _random_model(cfg, seed=2)
+        lengths = np.array([6, 2, 5, 1])  # right-padded rows of mixed lengths
+        mask = (np.arange(6) < lengths[:, None]).astype(float)
+        hist = np.where(mask > 0, np.arange(1, 7) % 5 + 1, 0)
+        x = np.random.default_rng(1).normal(size=(4, cfg.dim))  # float64, as the reversal's
+
+        def rng():
+            return RngStream(7) if streams == "one" else [RngStream(s) for s in (7, 8, 9, 10)]
+
+        def call():
+            e_seq = embedding_lookup(model.params["item_emb"], hist)
+            z = mix(e_seq, x, step_embedding_batch([3, 1, 4, 1], cfg.dim), cfg.delta, rng(),
+                    mask, scalar_lambda)
+            return z, model.reconstruct(hist, mask, x, [3, 1, 4, 1], rng(), train_mode=False)
+
+        z, recon = call()
+        assert calls == [] and z.data.dtype == recon.data.dtype == np.dtype(dtype)
+        assert np.all(z.data[mask == 0] == 0.0)
+        with Tape() as tape:
+            taped_z, taped_recon = call()
+            assert len(tape) > 0
+        assert calls and taped_z.requires_grad  # the taped path ran and recorded the ops
+        assert z.data.tobytes() == taped_z.data.tobytes()
+        assert recon.data.tobytes() == taped_recon.data.tobytes()
+    finally:
+        set_default_dtype(np.float64)
+
+
 def _random_model(cfg, seed=0):
     params = init_params(5, cfg, RngStream(seed))
     return Approximator(params, cfg)

@@ -562,9 +562,23 @@ def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, 
     monkeypatch.setattr(model_mod, forward_fn,
                         counting("eval forward", getattr(model_mod, forward_fn)))
     monkeypatch.setattr(model_mod, array_fn, counting("array path", getattr(model_mod, array_fn)))
+    # the reversal's lambda-mix runs on arrays too: no element-wise tensor op
+    # in any namespace that holds one
+    tensor_mod = importlib.import_module("seqdiff.tensor")
+    for op in ("add", "mul"):
+        fn = getattr(tensor_mod, op)
+
+        def counted(*args, _op=op, _fn=fn):
+            calls[_op] = calls.get(_op, 0) + 1
+            return _fn(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "seqdiff" and getattr(mod, op, None) is fn:
+                monkeypatch.setattr(mod, op, counted)
     evaluate(scorer, test, seed=1)
     infer(scorer, [3, 1, 4], RngStream(2))
     uncertainty_probe(scorer, [3, 1, 4], n_reverses=3, k=5)
+    assert "add" not in calls and "mul" not in calls
     evaluate(NextItemScorer(scorer.model), test[:4], seed=1)
     assert calls["eval forward"] > 0
     assert calls["array path"] == calls["eval forward"]

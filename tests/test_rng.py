@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqdiff.rng import RngStream
+from seqdiff.rng import RngStream, gaussian_rows
 
 
 def test_equal_seeds_give_identical_sequences():
@@ -52,3 +52,19 @@ def test_uniform_and_permutation_ranges():
     assert u.min() >= 0.0 and u.max() < 1.0
     perm = rng.permutation(20)
     assert sorted(perm.tolist()) == list(range(20))
+
+
+@pytest.mark.parametrize("mean, std", [(0.0, 1.0), (0.001, np.sqrt(0.001)), (0.0, 0.0)])
+@pytest.mark.parametrize("row_shape", [(8,), (5, 8), (5, 1)])
+def test_gaussian_rows_row_i_is_stream_i_drawing_alone(row_shape, mean, std):
+    seeds = [3, 1, 4, 1, 5]
+    rows = gaussian_rows([RngStream(s) for s in seeds], row_shape, mean, std)
+    assert rows.shape == (len(seeds), *row_shape) and rows.dtype == np.float64
+    for row, seed in zip(rows, seeds):
+        alone = RngStream(seed).gaussian((1, *row_shape), mean, std)
+        assert row[None].tobytes() == alone.tobytes()
+
+
+def test_gaussian_rows_negative_std_rejected():
+    with pytest.raises(ValueError):
+        gaussian_rows([RngStream(0)], (3,), 0.0, -0.1)

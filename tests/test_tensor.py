@@ -383,6 +383,27 @@ def test_layer_norm_has_the_bytes_of_the_np_mean_formula(d, dtype):
         set_default_dtype(np.float64)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_array_helpers_leave_their_inputs_alone(dtype):
+    # the helpers work in place on their own temporaries; the taped ops hand
+    # them `.data` arrays that tape nodes hold, so an input must not change
+    gen = np.random.default_rng(9)
+    x = (gen.normal(scale=2.0, size=(3, 4, 16)) * np.linspace(0.1, 10.0, 16)).astype(dtype)
+    gain, bias = gen.normal(size=16).astype(dtype), gen.normal(size=16).astype(dtype)
+    before = [a.copy() for a in (x, gain, bias)]
+    outs = [tensor_module.softmax_array(x, axis=1), tensor_module.softmax_array(x),
+            tensor_module.sigmoid_array(x), *tensor_module.layer_norm_array(x, gain, bias)]
+    for a, kept in zip((x, gain, bias), before):
+        assert a.tobytes() == kept.tobytes()
+    for out in outs:
+        assert out.dtype == dtype
+        assert not any(np.shares_memory(out, a) for a in (x, gain, bias))
+    y, xhat, _ = outs[3:]
+    assert not np.shares_memory(y, xhat)  # the backward of `layer_norm` reads xhat
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert outs[1].tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.ones((3, 3)))
     assert dropout(x, 0.5, RngStream(0), train=False) is x
