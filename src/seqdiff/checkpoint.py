@@ -142,9 +142,12 @@ def load_checkpoint(path) -> ModelCheckpoint:
             raise CheckpointFormatError("trailing bytes after the last tensor")
     try:
         cfg = config_from_dict(meta["config"])
-        vocab_size = int(meta["vocab_size"])
-        epoch = int(meta["epoch"])
+        vocab_size, epoch = meta["vocab_size"], meta["epoch"]
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"metadata missing field: {exc}") from None
+    for field, value, least in (("vocab_size", vocab_size, 1), ("epoch", epoch, 0)):
+        if type(value) is not int or value < least:  # a JSON bool, float or string is not one
+            raise CheckpointFormatError(
+                f"metadata field {field!r} must be an integer >= {least}, got {value!r}")
     return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch,
                            tensors=tensors)

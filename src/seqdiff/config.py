@@ -157,16 +157,6 @@ def load_config(path) -> TrainConfig:
         return parse_config(fh.read())
 
 
-def format_config(cfg: TrainConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def config_from_dict(d: dict) -> TrainConfig:
     unknown = set(d) - set(_FIELDS)
     if unknown:

@@ -238,16 +238,6 @@ def synth(kind: str, n_users: int, n_items: int, seq_len: int,
                            item_ids=item_ids, n_actions=n_actions)
 
 
-def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:
-    """The row-stochastic matrix a `synth("markov", ...)` dataset samples from."""
-    rng = RngStream(seed)
-    dominant = rng.integers(1, n_items + 1, size=n_items)
-    mat = np.full((n_items, n_items), 0.2 / (n_items - 1))
-    for i in range(n_items):
-        mat[i, dominant[i] - 1] = 0.8
-    return mat
-
-
 def save_processed(dataset: SequenceDataset, out_dir) -> None:
     """Write `sequences.txt` (space-separated indices, one user per line)
     and `vocab.tsv` (`index<TAB>original_item_id`)."""

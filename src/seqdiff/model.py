@@ -6,7 +6,8 @@ through a stack of bidirectional post-norm transformer blocks (or a single
 GRU layer, kept for comparison), and the representation at the last valid
 position is emitted as the reconstructed target. The final transformer
 block computes only that row; its keys and values still cover every valid
-position.
+position. `train_mode` alone picks the forward: training records a taped
+forward with dropout, eval runs it without dropout on plain arrays.
 
 Sequences are right-padded; index 0 of the item table is the padding row
 and never receives gradient. Attention is unmasked across valid positions:
@@ -161,34 +162,22 @@ def _check_mask(mask: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarra
     return mask, valid.astype(int) - 1
 
 
-def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
-                        params: dict[str, Tensor], cfg: TrainConfig,
-                        train_mode: bool, rng: RngStream | None = None) -> Tensor:
-    """Bidirectional encoder over valid positions; returns the last valid row.
+def transformer_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
+                        params: dict[str, Tensor], cfg: TrainConfig, rng: RngStream) -> Tensor:
+    """Training forward of the bidirectional encoder: (B, n, dim) -> (B, dim).
 
-    (B, n, dim) -> (B, dim). Dropout is live only in train_mode. The final
-    block computes only the row it returns: one query per sequence, from its
-    last valid position, attends to keys and values at every valid position,
-    and the residuals, layer norms and feed-forward run on (B, 1, dim).
-
-    An eval-mode forward that no tape records runs `_transformer_eval_arrays`
-    on the `.data` arrays instead, with the same bytes and no `Tensor` per
-    op, as `gru_forward` does. Under a tape, eval mode takes the taped code.
+    The final block computes only the row it returns: one query per
+    sequence, from its last valid position, attends to keys and values at
+    every valid position, and the residuals, layer norms and feed-forward
+    run on (B, 1, dim).
     """
     b, n, dim = z_seq.shape
-    if n > cfg.max_len:
-        raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
-    mask, last = _check_mask(padding_mask, b, n)
-    # cast as `Tensor()` casts it: a float64 bias would promote float32 scores
-    key_bias = ((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n).astype(default_dtype(), copy=False)
-    if not train_mode and not tracked(z_seq, *params.values()):
-        return Tensor(_transformer_eval_arrays(z_seq.data, key_bias, last, params, cfg))
-    key_bias = Tensor(key_bias)
     heads = cfg.heads
     dh = dim // heads
+    key_bias = Tensor(((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n))
 
     h = add(z_seq, embedding_lookup(params["pos_emb"], np.arange(n)))
-    h = dropout(h, cfg.dropout_emb, rng, train_mode)
+    h = dropout(h, cfg.dropout_emb, rng)
     for i in range(cfg.blocks):
         w = f"block{i}."
         # queries: every position, or in the final block each sequence's last valid row
@@ -198,13 +187,12 @@ def transformer_forward(z_seq: Tensor, padding_mask: np.ndarray,
         k = _split_heads(matmul(h, params[w + "wk"]), b, n, heads, dh)
         v = _split_heads(matmul(h, params[w + "wv"]), b, n, heads, dh)
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = softmax(add(scores, key_bias), axis=-1)
-        probs = dropout(probs, cfg.dropout_block, rng, train_mode)
+        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, m, dim))
-        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng, train_mode)
+        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng)
         h = layer_norm(add(rows, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
         ff = matmul(relu(add(matmul(h, params[w + "w1"]), params[w + "b1"])), params[w + "w2"])
-        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng, train_mode)
+        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng)
         h = layer_norm(add(h, ff), params[w + "ln2_g"], params[w + "ln2_b"])
     return reshape(h, (b, dim)) if cfg.blocks else gather_rows(h, last)
 
@@ -213,23 +201,24 @@ def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:
     return transpose(reshape(x, (b, n, heads, dh)), (0, 2, 1, 3))
 
 
-def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarray,
+def _transformer_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
                              params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
-    """The eval-mode `transformer_forward` on plain arrays: (B, n, dim) -> (B, dim).
+    """Eval forward of the transformer on plain arrays: (B, n, dim) -> (B, dim).
 
-    The same operations in the same order on the same shapes. The split
-    heads stay strided views, which `Tensor()` copies contiguous in the
-    taped forward; only the transposed keys are copied. Scaling, biases,
-    relu and residual sums run in place on the products this function
-    made, with each sum's operands swapped where that saves an array; IEEE
-    addition commutes, so the bytes do not change. The byte test in
-    `tests/test_model.py` checks that this gives the taped bytes, and a
-    BLAS build on which it does not fails there.
+    `transformer_forward` without dropout: the same operations in the same
+    order on the same shapes. The split heads stay strided views, which
+    `Tensor()` copies contiguous; only the transposed keys are copied.
+    Scaling, biases, relu and residual sums run in place on the products
+    this function made, each sum's operands swapped where that saves an
+    array (IEEE addition commutes). `tests/test_model.py` checks the bytes
+    against the taped forward, so a BLAS build that breaks them fails there.
     """
     b, n, dim = z.shape
     heads = cfg.heads
     dh = dim // heads
     p = {name: t.data for name, t in params.items()}
+    # cast as `Tensor()` casts it: a float64 bias would promote float32 scores
+    key_bias = ((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n).astype(default_dtype(), copy=False)
 
     def split_heads(x: np.ndarray, m: int) -> np.ndarray:
         return x.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
@@ -258,43 +247,27 @@ def _transformer_eval_arrays(z: np.ndarray, key_bias: np.ndarray, last: np.ndarr
     return h.reshape(b, dim) if cfg.blocks else h[np.arange(b), last]
 
 
-def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: dict[str, Tensor],
-                cfg: TrainConfig, train_mode: bool,
-                rng: RngStream | None = None) -> Tensor:
-    """Single-layer gated recurrence; returns the state at the last valid position.
+def gru_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
+                params: dict[str, Tensor], cfg: TrainConfig, rng: RngStream) -> Tensor:
+    """Training forward of the single-layer GRU: (B, n, dim) -> (B, dim).
 
     The input side of each gate, z @ wi + bi, is computed for all n positions
     before the loop (one (n, dim) product per row) and cut into its n
     per-position parts with `split`. The loop holds one h-side product per
-    position, h @ wh + bh, split into the three gates' parts.
-    The loop runs over padded positions too; with right padding, the state
-    at position mask.sum(1) - 1 is picked, as in `transformer_forward`. In
-    eval mode every row runs as a (1, dim) state, so the h-side product is
-    one vector-matrix product per row: a row's bytes then do not depend on
-    its batch. Training runs the whole batch as one (B, dim) state.
-
-    An eval-mode forward that no tape records (no active `Tape`, or no
-    tracked input) runs `_gru_eval_arrays` on the `.data` arrays instead:
-    the same operations in the same order, with the same bytes, and no
-    `Tensor` per op. Under a tape, eval mode takes the taped loop, so its
-    gradients exist.
+    position, h @ wh + bh on the (B, dim) state, split into the three gates'
+    parts. It runs over padded positions too; with right padding, the state
+    at position mask.sum(1) - 1 is picked.
     """
     b, n, dim = z_seq.shape
-    _, last = _check_mask(padding_mask, b, n)
-    # the GRU's own tensors: the item table takes no part in the recurrence
-    g = {name[len("gru."):]: t for name, t in params.items() if name.startswith("gru.")}
-    if not train_mode and not tracked(z_seq, *g.values()):
-        return Tensor(_gru_eval_arrays(z_seq.data, last, g))
-    z_seq = dropout(z_seq, cfg.dropout_emb, rng, train_mode)
-    rows = (b, dim) if train_mode else (b, 1, dim)
+    z_seq = dropout(z_seq, cfg.dropout_emb, rng)
 
     def input_side(gate: str) -> list[Tensor]:
-        x = add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"])
-        return split(reshape(x, rows[:-1] + (n * dim,)), (dim,) * n)
+        x = add(matmul(z_seq, params[f"gru.wi_{gate}"]), params[f"gru.bi_{gate}"])
+        return split(reshape(x, (b, n * dim)), (dim,) * n)
 
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
-    wh, bh = g["wh"], g["bh"]
-    h = Tensor(np.zeros(rows))
+    wh, bh = params["gru.wh"], params["gru.bh"]
+    h = Tensor(np.zeros((b, dim)))
     states = []
     for i in range(n):
         hr, hz, hn = split(add(matmul(h, wh), bh), (dim, dim, dim))
@@ -303,31 +276,30 @@ def gru_forward(z_seq: Tensor, padding_mask: np.ndarray, params: dict[str, Tenso
         cand = tanh(add(xn[i], mul(r, hn)))
         h = add(cand, mul(u, add(h, scale(cand, -1.0))))
         states.append(h)
-    out = gather_rows(stack(states), last)
-    return out if train_mode else reshape(out, (b, dim))
+    return gather_rows(stack(states), last)
 
 
-def _gru_eval_arrays(z: np.ndarray, last: np.ndarray, g: dict[str, Tensor]) -> np.ndarray:
-    """The eval-mode loop of `gru_forward` on plain arrays: (B, n, dim) -> (B, dim).
+def _gru_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
+                     params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
+    """Eval forward of the GRU on plain arrays: (B, n, dim) -> (B, dim).
 
-    Rows stay (B, 1, dim), so each h-side product is one vector-matrix
-    product per row. The r and z gates' input parts are added into their
-    columns of the h-side product, which then takes one sigmoid; both ops
-    are element-wise, so the bytes are those of the taped loop. The bias,
-    tanh and state update run in place on arrays the loop made, each sum
-    with its operands swapped where that saves an array. No array
-    is larger than one gate's (B, n, dim) input product: a joined
-    (B, n, 2·dim) r|z input array gave the same bytes, but the training
-    runs that followed it in one process took more page faults.
+    `gru_forward` without dropout, with each row's state kept (1, dim): each
+    h-side product is one vector-matrix product per row, so a row's bytes
+    do not depend on its batch and equal the taped loop's run one row per
+    call. The r and z gates' input parts are added into their columns of
+    the h-side product, which takes one sigmoid. The bias, tanh and state
+    update run in place on arrays the loop made. No array is larger than one
+    gate's (B, n, dim) input product: a joined (B, n, 2·dim) r|z input gave
+    the same bytes, but the training runs after it took more page faults.
     """
     b, n, dim = z.shape
 
     def input_side(gate: str) -> np.ndarray:  # x[i] is position i's (B, 1, dim) part
-        x = z @ g[f"wi_{gate}"].data + g[f"bi_{gate}"].data
+        x = z @ params[f"gru.wi_{gate}"].data + params[f"gru.bi_{gate}"].data
         return x.transpose(1, 0, 2)[:, :, None]
 
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
-    wh, bh = g["wh"].data, g["bh"].data
+    wh, bh = params["gru.wh"].data, params["gru.bh"].data
     h = np.zeros((b, 1, dim), dtype=z.dtype)
     states = np.empty((b, n, dim), dtype=z.dtype)
     for i in range(n):
@@ -359,11 +331,21 @@ class Approximator:
 
     def forward(self, z_seq: Tensor, mask: np.ndarray, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
-        """Dropout is live only in train_mode, which needs `rng` to draw it."""
+        """(B, n, dim) -> (B, dim). train_mode runs the taped forward, with
+        dropout drawn from `rng`; eval runs the array forward and records
+        nothing, even under an active tape."""
         if train_mode and rng is None:
             raise ValueError("train_mode forward requires an rng for dropout")
-        fwd = gru_forward if self.cfg.approximator == "gru" else transformer_forward
-        return fwd(z_seq, mask, self.params, self.cfg, train_mode, rng)
+        b, n, _ = z_seq.shape
+        if n > self.cfg.max_len:
+            raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
+        mask, last = _check_mask(mask, b, n)
+        gru = self.cfg.approximator == "gru"
+        if train_mode:
+            fwd = gru_forward if gru else transformer_forward
+            return fwd(z_seq, mask, last, self.params, self.cfg, rng)
+        arrays = _gru_eval_arrays if gru else _transformer_eval_arrays
+        return Tensor(arrays(z_seq.data, mask, last, self.params, self.cfg))
 
     def reconstruct(self, hist: np.ndarray, mask: np.ndarray, x, steps,
                     rng: RngStream | list[RngStream], train_mode: bool) -> Tensor:
@@ -380,5 +362,6 @@ class Approximator:
         table = self.params["item_emb"] if item_table is None else item_table
         e_seq = embedding_lookup(table, hist)
         b, n, _ = e_seq.shape
-        e_seq = mul(e_seq, Tensor(np.asarray(mask, dtype=float).reshape(b, n, 1)))
+        m = np.asarray(mask, dtype=default_dtype()).reshape(b, n, 1)
+        e_seq = mul(e_seq, Tensor(m)) if train_mode else Tensor(e_seq.data * m)
         return self.forward(e_seq, mask, train_mode, rng)

@@ -10,11 +10,11 @@ it, and accumulates adjoints into `.grad` of the leaves only: the tracked
 tensors that no op on the tape produced, such as parameters.
 
 Outside a tape an op records nothing, but it still wraps its result in a
-new `Tensor`. Code that runs many tiny ops with nothing recording can check
-`tracked` and run on the `.data` arrays instead, as both eval-mode forwards
-and `model.mix` do. Sigmoid, softmax and layer norm keep their arithmetic
-in `sigmoid_array`, `softmax_array` and `layer_norm_array`, which both the
-ops and such code run, so the two paths share one formula and its bytes.
+new `Tensor`. So the model's eval forwards run on the `.data` arrays, as
+`model.mix` does when nothing is `tracked`. Sigmoid, softmax and layer norm
+keep their arithmetic in `sigmoid_array`, `softmax_array` and
+`layer_norm_array`, which both the ops and such code run, so the two paths
+share one formula and its bytes.
 These helpers work in place on the temporaries they make themselves and
 never write into their inputs; their outputs share no memory with them.
 """
@@ -289,14 +289,6 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-    if tracked(a):
-        shape = a.shape
-        _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
-
-
 def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-stabilized softmax of a plain array along `axis`; `softmax` runs this."""
     e = a - a.max(axis=axis, keepdims=True)
@@ -434,9 +426,9 @@ def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
     return parts
 
 
-def dropout(x: Tensor, p: float, rng: RngStream, train: bool) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p) so eval needs no rescale."""
-    if not train or p == 0.0:
+def dropout(x: Tensor, p: float, rng: RngStream) -> Tensor:
+    """Training's inverted dropout: kept units scale by 1/(1-p); p = 0 returns x."""
+    if p == 0.0:
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")

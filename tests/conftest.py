@@ -1,7 +1,41 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from seqdiff.config import TrainConfig
+from seqdiff.rng import RngStream
+from seqdiff.tensor import Tensor, _record, tracked
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of every element as a scalar tensor: the loss the gradient tests reduce to."""
+    out = Tensor(a.data.sum())
+    if tracked(a):
+        shape = a.shape
+        _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    return out
+
+
+def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:
+    """The row-stochastic matrix a `synth("markov", ...)` dataset samples from."""
+    rng = RngStream(seed)
+    dominant = rng.integers(1, n_items + 1, size=n_items)
+    mat = np.full((n_items, n_items), 0.2 / (n_items - 1))
+    for i in range(n_items):
+        mat[i, dominant[i] - 1] = 0.8
+    return mat
+
+
+def format_config(cfg: TrainConfig) -> str:
+    """The config file text that `parse_config` reads back as `cfg`."""
+    lines = []
+    for f in dataclasses.fields(TrainConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def finite_diff_grad(loss_fn, tensor, h=1e-5):

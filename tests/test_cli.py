@@ -10,8 +10,7 @@ import pytest
 
 from seqdiff.cli import main
 from seqdiff.checkpoint import load_checkpoint, save_checkpoint
-from seqdiff.config import format_config
-from conftest import desk_config
+from conftest import desk_config, format_config
 
 
 @pytest.fixture
@@ -170,15 +169,19 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
     assert captured.err.count("\n") == 1 and "999" in captured.err
 
 
-def _with_config_metadata(ckpt_bytes: bytes, **changes) -> bytes:
-    """Checkpoint bytes with `changes` applied to the config in the JSON
-    metadata block (after the 8-byte magic, u32 version and u32 length);
-    the tensor records are left as they are."""
+def _with_metadata(ckpt_bytes: bytes, edit) -> bytes:
+    """Checkpoint bytes with `edit(meta)` applied to the JSON metadata block
+    (after the 8-byte magic, u32 version and u32 length); the tensor records
+    are left as they are."""
     (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
     meta = json.loads(ckpt_bytes[16:16 + meta_len])
-    meta["config"].update(changes)
+    edit(meta)
     encoded = json.dumps(meta).encode()
     return ckpt_bytes[:12] + struct.pack("<I", len(encoded)) + encoded + ckpt_bytes[16 + meta_len:]
+
+
+def _with_config_metadata(ckpt_bytes: bytes, **changes) -> bytes:
+    return _with_metadata(ckpt_bytes, lambda meta: meta["config"].update(changes))
 
 
 _BAD_CONFIGS = {"train-heads-0": "heads = 0\n",
@@ -262,6 +265,22 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     assert _EXPECTED_ERRORS.get(fault, "") in captured.err
     assert not (tmp_path / "probe.csv").exists()
     assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1, 2.5, "7", None, True],
+                         ids=["Infinity", "NaN", "-1", "2.5", "string-7", "null", "true"])
+@pytest.mark.parametrize("field", ["vocab_size", "epoch"])
+def test_checkpoint_metadata_that_is_not_a_count_is_one_line_and_exit_2(
+        tmp_path, trained_ckpt, field, value, capsys):
+    ckpt_path = tmp_path / "bad.ckpt"
+    ckpt_path.write_bytes(_with_metadata(trained_ckpt.read_bytes(),
+                                         lambda meta: meta.update({field: value})))
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"seqdiff infer: metadata field '{field}' must be an integer")
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "probe"])

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from seqdiff.config import (MAX_BLOCKS_LIMIT, MAX_LEN_LIMIT, MAX_T_LIMIT, TrainConfig,
-                            format_config, parse_config)
+                            parse_config)
+from conftest import format_config
 
 
 def test_round_trip_through_text():

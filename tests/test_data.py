@@ -5,8 +5,8 @@ import pytest
 
 from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, DataFormatError,
                           InteractionRecord, PreprocessError, ingest, load_processed,
-                          markov_transition_matrix, preprocess, save_processed, split,
-                          synth)
+                          preprocess, save_processed, split, synth)
+from conftest import markov_transition_matrix
 
 
 def _write(tmp_path, text):

@@ -4,7 +4,8 @@ import pytest
 from seqdiff.diffusion import embed_to_x0, q_sample, reverse_step, sample_steps
 from seqdiff.rng import RngStream
 from seqdiff.schedule import build_schedule, schedule_from_betas
-from seqdiff.tensor import Tape, Tensor, backward, sum_all
+from seqdiff.tensor import Tape, Tensor, backward
+from conftest import sum_all
 
 
 @pytest.fixture

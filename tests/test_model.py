@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_config, finite_diff_grad, max_rel_error
+from conftest import desk_config, finite_diff_grad, max_rel_error, sum_all
 from seqdiff.model import Approximator, init_params, mix, param_shapes, step_embedding_batch
 from seqdiff.rng import RngStream
 from seqdiff.tensor import (Tape, Tensor, add, backward, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape, scale,
-                            set_default_dtype, sigmoid, softmax, sum_all, tanh, transpose)
+                            set_default_dtype, sigmoid, softmax, tanh, transpose)
 
 model_mod = importlib.import_module("seqdiff.model")
 
@@ -215,7 +215,7 @@ def test_delta_zero_makes_model_target_blind():
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])
 def test_forward_gradients_match_finite_differences(approximator):
     cfg = tiny_config(approximator=approximator, blocks=2, dim=8, heads=2,
-                      max_len=3)
+                      max_len=3, dropout_block=0.0, dropout_emb=0.0)
     model = _random_model(cfg, seed=21)
     hist = np.array([[1, 2, 3], [4, 5, 0]])
     mask = (hist > 0).astype(float)
@@ -228,7 +228,7 @@ def test_forward_gradients_match_finite_differences(approximator):
     def loss_value():
         e = mul(embedding_lookup(model.params["item_emb"], hist),
                 Tensor(mask[..., None]))
-        out = model.forward(add(e, z_const), mask, train_mode=False)
+        out = model.forward(add(e, z_const), mask, train_mode=True, rng=RngStream(0))
         return sum_all(mul(out, w))
 
     with Tape() as tape:
@@ -393,14 +393,14 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(model_mod, op, counted)
 
-    def forward(*args, _fn=model_mod.gru_forward):
+    def forward(*args, _fn=model.forward):
         in_forward.append(True)
         try:
             return _fn(*args)
         finally:
             in_forward.pop()
 
-    monkeypatch.setattr(model_mod, "gru_forward", forward)
+    monkeypatch.setattr(model, "forward", forward)
     n = 5
     hist = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
     out = model.reconstruct(hist, np.ones((2, n)), np.zeros((2, cfg.dim)), [3, 3],
@@ -415,52 +415,53 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
         assert len(tape) == 3 * 4 + 14 * n + 2
 
 
-def _check_eval_array_path(monkeypatch, array_fn, dtype, cfg, perturbed, untracked):
-    """An eval forward with no tape takes `array_fn` once and gives the bytes
-    of the same call under a tape with tracked parameters, which does not
-    take it; with the forward's own tensors untracked, a tape takes it and
-    records nothing. `perturbed(params)` names the tensors that get nonzero
-    noise, `untracked(params)` the ones whose tracking is cleared; the rest
-    stay tracked, so a forward that checks them leaves the array path."""
-    taken = []
-    array_path = getattr(model_mod, array_fn)
-    monkeypatch.setattr(model_mod, array_fn,
-                        lambda *args: taken.append(True) or array_path(*args))
+def _check_eval_array_path(dtype, cfg, perturbed, reference):
+    """An eval forward gives the bytes of `reference(model, z, mask)`, a
+    taped training forward at zero dropout, on right-padded rows of mixed
+    lengths. `perturbed(params)` names the tensors that get nonzero noise."""
     set_default_dtype(dtype)
     try:
         model = _random_model(cfg, seed=8)
         gen = np.random.default_rng(cfg.dim)
         for t in perturbed(model.params):
             t.data += gen.normal(scale=0.3, size=t.shape).astype(dtype)
-        lengths = np.array([6, 2, 5, 1, 6])  # right-padded rows of mixed lengths
+        lengths = np.array([6, 2, 5, 1, 6])
         mask = (np.arange(6) < lengths[:, None]).astype(float)
         z = Tensor(gen.normal(size=(5, 6, cfg.dim)))
-        out = model.forward(z, mask, train_mode=False)
-        assert taken == [True]
-        with Tape() as tape:  # the same eval call, recorded
-            taped = model.forward(z, mask, train_mode=False)
-            assert len(tape) > 0
-        assert taken == [True]
-        assert out.data.dtype == taped.data.dtype == np.dtype(dtype)
-        assert out.data.tobytes() == taped.data.tobytes()
-        for t in untracked(model.params):  # the array path, unrecorded
-            t.requires_grad = False
-        with Tape() as tape:
-            assert model.forward(z, mask, train_mode=False).data.tobytes() == out.data.tobytes()
-            assert len(tape) == 0
-        assert taken == [True, True]
+        out = model.forward(z, mask, train_mode=False).data
+        want = reference(model, z, mask)
+        assert out.dtype == want.dtype == np.dtype(dtype)
+        assert out.tobytes() == want.tobytes()
     finally:
         set_default_dtype(np.float64)
 
 
+def _gru_one_row_per_call(model, z, mask):
+    """The taped training forward run on each row alone, at zero dropout."""
+    return np.concatenate([model.forward(Tensor(z.data[i:i + 1]), mask[i:i + 1], True,
+                                         RngStream(0)).data for i in range(z.shape[0])])
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("dim", [32, 100, 128])
-def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, monkeypatch):
-    # every GRU tensor perturbed: nonzero biases, so each one counts; the
-    # item table stays tracked, as it takes no part in the recurrence
-    _check_eval_array_path(monkeypatch, "_gru_eval_arrays", dtype,
-                           desk_config(dim=dim, approximator="gru", max_len=8),
-                           _gru_tensors, _gru_tensors)
+def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype):
+    # every GRU tensor perturbed: nonzero biases, so each one counts
+    _check_eval_array_path(dtype, desk_config(dim=dim, approximator="gru", max_len=8,
+                                              dropout_emb=0.0),
+                           _gru_tensors, _gru_one_row_per_call)
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+def test_eval_forward_records_nothing_under_a_tape(approximator):
+    cfg = tiny_config(approximator=approximator)
+    model, z, mask = _mixed_length_batch(cfg, seed=9)
+    z.requires_grad = True
+    want = model.forward(z, mask, train_mode=False)
+    with Tape() as tape:  # every parameter and the input tracked
+        out = model.forward(z, mask, train_mode=False)
+        assert len(tape) == 0
+    assert not out.requires_grad
+    assert out.data.tobytes() == want.data.tobytes()
 
 
 def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
@@ -504,30 +505,35 @@ def test_transformer_init_draws_the_tables_then_each_blocks_matrices_in_order():
     assert list(params) == list(param_shapes(9, cfg))
 
 
-def _full_rows_transformer_forward(z_seq, padding_mask, params, cfg, train_mode, rng=None):
-    """The transformer forward that runs every block at every position and
+def _full_rows_transformer_forward(z_seq, mask, last, params, cfg, rng):
+    """The training forward that runs every block at every position and
     only then keeps each sequence's last valid row: the reference that
     `transformer_forward` must match."""
     b, n, dim = z_seq.shape
-    mask, last = model_mod._check_mask(padding_mask, b, n)
     heads, dh = cfg.heads, dim // cfg.heads
     key_bias = Tensor(((1.0 - mask) * model_mod._NEG_INF).reshape(b, 1, 1, n))
     h = add(z_seq, embedding_lookup(params["pos_emb"], np.arange(n)))
-    h = dropout(h, cfg.dropout_emb, rng, train_mode)
+    h = dropout(h, cfg.dropout_emb, rng)
     for i in range(cfg.blocks):
         w = f"block{i}."
         q, k, v = (model_mod._split_heads(matmul(h, params[w + name]), b, n, heads, dh)
                    for name in ("wq", "wk", "wv"))
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng,
-                        train_mode)
+        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
-        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng, train_mode)
+        attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng)
         h = layer_norm(add(h, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
         ff = matmul(relu(add(matmul(h, params[w + "w1"]), params[w + "b1"])), params[w + "w2"])
-        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng, train_mode)
+        ff = dropout(add(ff, params[w + "b2"]), cfg.dropout_block, rng)
         h = layer_norm(add(h, ff), params[w + "ln2_g"], params[w + "ln2_b"])
     return gather_rows(h, last)
+
+
+def _full_rows(model, z, mask, rng=None):
+    """`_full_rows_transformer_forward` on a model's batch, at the model's dropout."""
+    b, n, _ = z.shape
+    return _full_rows_transformer_forward(z, *model_mod._check_mask(mask, b, n),
+                                          model.params, model.cfg, rng)
 
 
 def _mixed_length_batch(cfg, seed):
@@ -544,9 +550,10 @@ def _mixed_length_batch(cfg, seed):
     return model, z, mask
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_final_block_products_take_one_row_per_sequence(train_mode, monkeypatch):
-    cfg = tiny_config(blocks=2, max_len=6)
+@pytest.mark.parametrize("with_dropout", [False, True])
+def test_final_block_products_take_one_row_per_sequence(with_dropout, monkeypatch):
+    cfg = tiny_config(blocks=2, max_len=6, dropout_block=0.1 * with_dropout,
+                      dropout_emb=0.3 * with_dropout)
     model, z, mask = _mixed_length_batch(cfg, seed=5)
     b, n, dim = z.shape
     names = {id(t): name for name, t in model.params.items()}
@@ -558,8 +565,8 @@ def test_final_block_products_take_one_row_per_sequence(train_mode, monkeypatch)
         return _fn(x, y)
 
     monkeypatch.setattr(model_mod, "matmul", counted)
-    with Tape():  # tracked parameters: eval mode too runs the taped forward, which calls matmul
-        out = model.forward(z, mask, train_mode, RngStream(6) if train_mode else None)
+    with Tape():
+        out = model.forward(z, mask, True, RngStream(6))
     assert out.shape == (b, dim)
     assert len(calls) == 8 * cfg.blocks  # six weight products and two attention products
     for k in ("wq", "wk", "wv", "wo", "w1"):  # block 0 runs every position
@@ -573,10 +580,10 @@ def test_final_block_products_take_one_row_per_sequence(train_mode, monkeypatch)
 
 @pytest.mark.parametrize("blocks", [1, 2, 4])
 def test_transformer_forward_matches_the_full_rows_reference(blocks):
-    cfg = tiny_config(blocks=blocks, max_len=6)
+    cfg = tiny_config(blocks=blocks, max_len=6, dropout_block=0.0, dropout_emb=0.0)
     model, z, mask = _mixed_length_batch(cfg, seed=blocks)
     out = model.forward(z, mask, train_mode=False).data
-    want = _full_rows_transformer_forward(z, mask, model.params, cfg, False).data
+    want = _full_rows(model, z, mask).data
     assert out.shape == want.shape
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -587,11 +594,12 @@ def test_transformer_gradients_match_the_full_rows_reference(blocks):
     model, z, mask = _mixed_length_batch(cfg, seed=10 + blocks)
     weights = Tensor(np.random.default_rng(blocks).normal(size=(z.shape[0], cfg.dim)))
     grads = []
+    mask, last = model_mod._check_mask(mask, *mask.shape)
     for fwd in (model_mod.transformer_forward, _full_rows_transformer_forward):
         for t in model.params.values():
             t.grad = None
         with Tape() as tape:
-            backward(tape, sum_all(mul(fwd(z, mask, model.params, cfg, True, RngStream(3)),
+            backward(tape, sum_all(mul(fwd(z, mask, last, model.params, cfg, RngStream(3)),
                                        weights)))
         grads.append({name: t.grad for name, t in model.params.items()})
     got, want = grads
@@ -602,24 +610,22 @@ def test_transformer_gradients_match_the_full_rows_reference(blocks):
         assert np.abs(got[name] - g).max() <= 1e-12 * max(np.abs(g).max(), 1e-300), name
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_zero_blocks_keeps_the_gather_of_the_embedded_rows(train_mode):
-    cfg = tiny_config(blocks=0, max_len=6, dropout_emb=0.3)
+@pytest.mark.parametrize("with_dropout", [False, True])
+def test_zero_blocks_keeps_the_gather_of_the_embedded_rows(with_dropout):
+    cfg = tiny_config(blocks=0, max_len=6, dropout_emb=0.3 * with_dropout)
     model, z, mask = _mixed_length_batch(cfg, seed=4)
-    out = model.forward(z, mask, train_mode, RngStream(8) if train_mode else None)
-    want = _full_rows_transformer_forward(z, mask, model.params, cfg, train_mode,
-                                          RngStream(8) if train_mode else None)
+    out = model.forward(z, mask, True, RngStream(8))
+    want = _full_rows(model, z, mask, RngStream(8))
     assert out.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2, 4])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("dim", [32, 100, 128])
-def test_transformer_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, blocks,
-                                                                     monkeypatch):
-    # nonzero biases and layer-norm gains, so each one counts; every tensor
-    # untracked, the item table too, as the transformer's condition checks it
-    _check_eval_array_path(monkeypatch, "_transformer_eval_arrays", dtype,
-                           desk_config(dim=dim, blocks=blocks, max_len=8),
+def test_transformer_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype, blocks):
+    # nonzero biases and layer-norm gains, so each one counts
+    _check_eval_array_path(dtype, desk_config(dim=dim, blocks=blocks, max_len=8,
+                                              dropout_block=0.0, dropout_emb=0.0),
                            lambda params: [t for t in params.values() if t.ndim == 1],
-                           lambda params: list(params.values()))
+                           lambda model, z, mask: model.forward(z, mask, True,
+                                                                RngStream(0)).data)

@@ -3,7 +3,8 @@ import pytest
 
 from seqdiff.optim import Adam
 from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward, mul,
-                            set_default_dtype, sum_all)
+                            set_default_dtype)
+from conftest import sum_all
 
 
 def test_zero_gradient_leaves_parameters_unchanged():

@@ -7,13 +7,36 @@ from pathlib import Path
 import seqdiff
 import seqdiff.tensor
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 BENCH_RUN = TRACING.with_name("run.py")
 BENCH_TEST = TRACING.with_name("test_bench.py")
 
 
 def test_train_submodule_is_not_shadowed():
     assert seqdiff.train is importlib.import_module("seqdiff.train")
+
+
+def test_every_definition_in_src_is_named_outside_itself():
+    # A function, class or method that nothing in src/ or perfbench/ names
+    # except its own definition is dead code, or test-only code that belongs
+    # in tests/. Names the package exports count as used; dunder methods run
+    # implicitly.
+    sources = sorted((ROOT / "src" / "seqdiff").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    text = "\n".join(path.read_text() for path in sources)
+    defined = []
+    for path in sorted((ROOT / "src" / "seqdiff").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((path.stem, d.name))
+    unused = [f"{module}.{name}" for module, name in defined
+              if name not in seqdiff.__all__ and not name.startswith("__")
+              and len(re.findall(rf"\b{name}\b", text))
+              <= sum(n == name for _, n in defined)]
+    assert unused == []
 
 
 def test_every_bench_hook_target_exists():

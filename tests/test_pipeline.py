@@ -542,28 +542,28 @@ def test_infer_truncates_to_max_len():
 
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])
 def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, monkeypatch):
-    # a forward that falls back to the taped eval path keeps its bytes but
-    # loses the array path's speed; this counts where each eval forward went
+    # an eval forward that took a taped path would keep its bytes but lose
+    # the array path's speed; this counts where each eval forward went
     model_mod = importlib.import_module("seqdiff.model")
-    forward_fn, array_fn = {"transformer": ("transformer_forward", "_transformer_eval_arrays"),
-                            "gru": ("gru_forward", "_gru_eval_arrays")}[approximator]
+    array_fn = {"transformer": "_transformer_eval_arrays", "gru": "_gru_eval_arrays"}[approximator]
     ds = tiny_dataset()
     scorer = build_scorer(train(ds, tiny_config(approximator=approximator, epochs=1)).checkpoint)
     test = split(ds).test
     calls = {"eval forward": 0, "array path": 0}
+    forward, array_path = model_mod.Approximator.forward, getattr(model_mod, array_fn)
 
-    def counting(key, fn):
-        def counted(*args):
-            if key == "array path" or not args[4]:  # args[4] is train_mode
-                calls[key] += 1
-            return fn(*args)
-        return counted
+    def counted_forward(self, z_seq, mask, train_mode, rng=None):
+        calls["eval forward"] += not train_mode
+        return forward(self, z_seq, mask, train_mode, rng)
 
-    monkeypatch.setattr(model_mod, forward_fn,
-                        counting("eval forward", getattr(model_mod, forward_fn)))
-    monkeypatch.setattr(model_mod, array_fn, counting("array path", getattr(model_mod, array_fn)))
-    # the reversal's lambda-mix runs on arrays too: no element-wise tensor op
-    # in any namespace that holds one
+    def counted_array_path(*args):
+        calls["array path"] += 1
+        return array_path(*args)
+
+    monkeypatch.setattr(model_mod.Approximator, "forward", counted_forward)
+    monkeypatch.setattr(model_mod, array_fn, counted_array_path)
+    # the reversal's lambda-mix and the next-item scorer's history mask run
+    # on arrays too: no element-wise tensor op in any namespace that holds one
     tensor_mod = importlib.import_module("seqdiff.tensor")
     for op in ("add", "mul"):
         fn = getattr(tensor_mod, op)
@@ -578,8 +578,8 @@ def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, 
     evaluate(scorer, test, seed=1)
     infer(scorer, [3, 1, 4], RngStream(2))
     uncertainty_probe(scorer, [3, 1, 4], n_reverses=3, k=5)
-    assert "add" not in calls and "mul" not in calls
     evaluate(NextItemScorer(scorer.model), test[:4], seed=1)
+    assert "add" not in calls and "mul" not in calls
     assert calls["eval forward"] > 0
     assert calls["array path"] == calls["eval forward"]
 

@@ -12,8 +12,8 @@ from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape,
                             set_default_dtype, sigmoid, softmax, split, stack,
-                            scale, sum_all, tanh, transpose)
-from conftest import finite_diff_grad, max_rel_error
+                            scale, tanh, transpose)
+from conftest import finite_diff_grad, max_rel_error, sum_all
 
 
 def test_matmul_identity():
@@ -404,15 +404,17 @@ def test_array_helpers_leave_their_inputs_alone(dtype):
     assert outs[1].tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
-def test_dropout_eval_mode_is_identity():
+def test_dropout_at_rate_zero_is_identity():
     x = Tensor(np.ones((3, 3)))
-    assert dropout(x, 0.5, RngStream(0), train=False) is x
+    rng = RngStream(0)
+    assert dropout(x, 0.0, rng) is x
+    assert rng.uniform(4).tobytes() == RngStream(0).uniform(4).tobytes()  # nothing drawn
 
 
 def test_dropout_preserves_expected_scale():
     rng = RngStream(4)
     x = Tensor(np.ones((200, 200)))
-    out = dropout(x, 0.3, rng, train=True)
+    out = dropout(x, 0.3, rng)
     kept = out.data != 0
     assert abs(kept.mean() - 0.7) < 0.01
     assert np.allclose(out.data[kept], 1.0 / 0.7)
