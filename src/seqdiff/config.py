@@ -6,6 +6,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .rng import SEED_LIMIT
+
 # The transformer allocates its (max_len, dim) positional table before any
 # data is read, so a mistyped max_len must fail here, not as an out-of-memory
 # kill; 10,000 rows are 10 MB at dim 128.
@@ -65,6 +67,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be of type {kind}, got {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 1 <= self.t <= MAX_T_LIMIT:

@@ -72,11 +72,11 @@ class _EmbeddingScorer(Scorer):
         return scores
 
     def _history(self, history) -> np.ndarray:
-        hist = np.asarray(list(history), dtype=int)[-self.model.cfg.max_len:]
+        hist = np.asarray(list(history)[-self.model.cfg.max_len:])
         if hist.size == 0:
             raise HistoryError("history is empty after truncation")
-        check_items(hist, self.n_items)
-        return hist
+        check_items(hist, self.n_items)  # before the int cast, which overflows on huge items
+        return hist.astype(int, copy=False)
 
     def represent_batch(self, histories, rngs) -> np.ndarray:
         """Checks every history, then runs `_represent_rows` per (B, n) group."""

@@ -9,11 +9,12 @@ block computes only that row; its keys and values still cover every valid
 position. `train_mode` alone picks the forward: training records a taped
 forward with dropout, eval runs it without dropout on plain arrays.
 
-Sequences are right-padded; index 0 of the item table is the padding row
-and never receives gradient. Attention is unmasked across valid positions:
-the network reconstructs one target from a completed history, so there is
-no causal constraint, but padded positions are excluded as keys and learned
-positional embeddings keep the encoder order-aware.
+Training rows are right-padded: index 0 of the item table is the padding row
+and never receives gradient, and padded positions are excluded as keys. Eval
+rows are unpadded (scorers group histories by length); eval refuses padding.
+Attention is unmasked: the network reconstructs one target from a completed
+history, so there is no causal constraint; learned positional embeddings keep
+the encoder order-aware.
 """
 
 from __future__ import annotations
@@ -201,24 +202,23 @@ def _split_heads(x: Tensor, b: int, n: int, heads: int, dh: int) -> Tensor:
     return transpose(reshape(x, (b, n, heads, dh)), (0, 2, 1, 3))
 
 
-def _transformer_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
-                             params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
-    """Eval forward of the transformer on plain arrays: (B, n, dim) -> (B, dim).
+def _transformer_eval_arrays(z: np.ndarray, params: dict[str, Tensor],
+                             cfg: TrainConfig) -> np.ndarray:
+    """Eval forward of the transformer on unpadded rows: (B, n, dim) -> (B, dim).
 
-    `transformer_forward` without dropout: the same operations in the same
-    order on the same shapes. The split heads stay strided views, which
-    `Tensor()` copies contiguous; only the transposed keys are copied.
-    Scaling, biases, relu and residual sums run in place on the products
-    this function made, each sum's operands swapped where that saves an
-    array (IEEE addition commutes). `tests/test_model.py` checks the bytes
-    against the taped forward, so a BLAS build that breaks them fails there.
+    `transformer_forward` without dropout on a mask of ones: the same
+    operations in the same order on the same shapes, less the key padding
+    bias, which is -0.0 there. The split heads stay strided views; only the
+    transposed keys are copied. Scaling, biases, relu and residual sums run
+    in place on the products this function made, each sum's operands swapped
+    where that saves an array (IEEE addition commutes). `tests/test_model.py`
+    checks the bytes against the taped forward, so a BLAS build that breaks
+    them fails there.
     """
     b, n, dim = z.shape
     heads = cfg.heads
     dh = dim // heads
     p = {name: t.data for name, t in params.items()}
-    # cast as `Tensor()` casts it: a float64 bias would promote float32 scores
-    key_bias = ((1.0 - mask) * _NEG_INF).reshape(b, 1, 1, n).astype(default_dtype(), copy=False)
 
     def split_heads(x: np.ndarray, m: int) -> np.ndarray:
         return x.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
@@ -226,14 +226,13 @@ def _transformer_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
     h = z + p["pos_emb"][:n]
     for i in range(cfg.blocks):
         w = f"block{i}."
-        rows = h if i < cfg.blocks - 1 else h[np.arange(b), last][:, None]
+        rows = h if i < cfg.blocks - 1 else h[:, -1:]
         m = rows.shape[1]
         q = split_heads(rows @ p[w + "wq"], m)
         k = split_heads(h @ p[w + "wk"], n)
         v = split_heads(h @ p[w + "wv"], n)
         scores = q @ np.ascontiguousarray(k.transpose(0, 1, 3, 2))
         scores *= 1.0 / math.sqrt(dh)
-        scores += key_bias
         ctx = (softmax_array(scores) @ v).transpose(0, 2, 1, 3).reshape(b, m, dim)
         attn = ctx @ p[w + "wo"]
         attn += rows
@@ -244,7 +243,7 @@ def _transformer_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
         ff += p[w + "b2"]
         ff += h
         h, _, _ = layer_norm_array(ff, p[w + "ln2_g"], p[w + "ln2_b"])
-    return h.reshape(b, dim) if cfg.blocks else h[np.arange(b), last]
+    return h[:, -1]
 
 
 def gru_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
@@ -279,9 +278,8 @@ def gru_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
     return gather_rows(stack(states), last)
 
 
-def _gru_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
-                     params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
-    """Eval forward of the GRU on plain arrays: (B, n, dim) -> (B, dim).
+def _gru_eval_arrays(z: np.ndarray, params: dict[str, Tensor], cfg: TrainConfig) -> np.ndarray:
+    """Eval forward of the GRU on unpadded rows: (B, n, dim) -> last state (B, dim).
 
     `gru_forward` without dropout, with each row's state kept (1, dim): each
     h-side product is one vector-matrix product per row, so a row's bytes
@@ -301,7 +299,6 @@ def _gru_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
     xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
     wh, bh = params["gru.wh"].data, params["gru.bh"].data
     h = np.zeros((b, 1, dim), dtype=z.dtype)
-    states = np.empty((b, n, dim), dtype=z.dtype)
     for i in range(n):
         hs = h @ wh
         hs += bh
@@ -316,8 +313,7 @@ def _gru_eval_arrays(z: np.ndarray, mask: np.ndarray, last: np.ndarray,
         h_new *= rz[..., dim:]
         h_new += cand
         h = h_new
-        states[:, i] = h[:, 0]
-    return states[np.arange(b), last]
+    return h[:, 0]
 
 
 class Approximator:
@@ -331,28 +327,30 @@ class Approximator:
 
     def forward(self, z_seq: Tensor, mask: np.ndarray, train_mode: bool,
                 rng: RngStream | None = None) -> Tensor:
-        """(B, n, dim) -> (B, dim). train_mode runs the taped forward, with
-        dropout drawn from `rng`; eval runs the array forward and records
-        nothing, even under an active tape."""
+        """(B, n, dim) -> (B, dim). train_mode runs the taped forward on
+        right-padded rows, with dropout from `rng`; eval takes unpadded rows
+        only, runs the array forward and records nothing, even under a tape."""
         if train_mode and rng is None:
             raise ValueError("train_mode forward requires an rng for dropout")
         b, n, _ = z_seq.shape
         if n > self.cfg.max_len:
             raise ValueError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
-        mask, last = _check_mask(mask, b, n)
         gru = self.cfg.approximator == "gru"
         if train_mode:
             fwd = gru_forward if gru else transformer_forward
-            return fwd(z_seq, mask, last, self.params, self.cfg, rng)
+            return fwd(z_seq, *_check_mask(mask, b, n), self.params, self.cfg, rng)
+        if n == 0 or not np.all(np.asarray(mask).reshape(b, n) == 1):
+            raise ValueError("eval rows must be unpadded: every mask entry must be 1")
         arrays = _gru_eval_arrays if gru else _transformer_eval_arrays
-        return Tensor(arrays(z_seq.data, mask, last, self.params, self.cfg))
+        return Tensor(arrays(z_seq.data, self.params, self.cfg))
 
     def reconstruct(self, hist: np.ndarray, mask: np.ndarray, x, steps,
                     rng: RngStream | list[RngStream], train_mode: bool) -> Tensor:
         """Full estimate: embed history, lambda-mix with (x + step encoding), encode."""
         e_seq = embedding_lookup(self.params["item_emb"], hist)
         d = step_embedding_batch(steps, self.cfg.dim)
-        z = mix(e_seq, x, d, self.cfg.delta, rng, mask, self.cfg.lambda_scalar)
+        z = mix(e_seq, x, d, self.cfg.delta, rng, mask if train_mode else None,
+                self.cfg.lambda_scalar)
         return self.forward(z, mask, train_mode, rng)
 
     def encode_history(self, hist: np.ndarray, mask: np.ndarray,
@@ -361,7 +359,6 @@ class Approximator:
         """Plain next-item encoding (no mixing); used by the adversarial mode."""
         table = self.params["item_emb"] if item_table is None else item_table
         e_seq = embedding_lookup(table, hist)
-        b, n, _ = e_seq.shape
-        m = np.asarray(mask, dtype=default_dtype()).reshape(b, n, 1)
-        e_seq = mul(e_seq, Tensor(m)) if train_mode else Tensor(e_seq.data * m)
+        if train_mode:
+            e_seq = mul(e_seq, Tensor(np.reshape(mask, (*e_seq.shape[:2], 1))))
         return self.forward(e_seq, mask, train_mode, rng)

@@ -10,18 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds and derivation keys are 64-bit words
+
+
+def _word(value: int, what: str) -> int:
+    value = int(value)
+    if not 0 <= value < SEED_LIMIT:  # masking would alias it to another seed
+        raise ValueError(f"{what} must be in [0, 2**64), got {value}")
+    return value
 
 
 class RngStream:
     """A deterministic PCG64 stream identified by a seed plus a derivation key.
 
-    Two streams built from equal (seed, key) pairs produce identical draws.
+    Two streams built from equal (seed, key) pairs produce identical draws;
+    a seed or key outside [0, 2**64) is refused.
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
-        self.seed = int(seed) & _MASK64
-        self._key = tuple(int(k) & _MASK64 for k in _key)
+        self.seed = _word(seed, "seed")
+        self._key = tuple(_word(k, "derivation key") for k in _key)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, *self._key]))
         )

@@ -267,6 +267,45 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     assert not (tmp_path / "out.ckpt").exists()
 
 
+_EDGE_INTS = (-1, 0, 2**63, 2**64, 10**30)
+_INT_FLAGS = {"infer": ("--seed", "--steps", "--topk", "--sequence"),
+              "eval": ("--seed", "--steps"),
+              "probe": ("--seed", "--steps", "--topk", "--n", "--sequence")}
+
+
+def _edge_exit_code(command, flag, value):
+    # at these values --steps (t = 4), --n, a history item (15 items) and the
+    # probe's top-k are always out of range; infer prints at most every item
+    in_range = {"--seed": 0 <= value < 2**64, "--topk": command == "infer" and value >= 1}
+    return 0 if in_range.get(flag, False) else 2
+
+
+def test_integer_inputs_at_their_edges_are_one_line_and_exit_0_or_2(tmp_path, synth_dir,
+                                                                    trained_ckpt, capsys):
+    out = str(tmp_path / "probe.csv")
+    base = {"infer": {"--sequence": "1,2"}, "eval": {"--data": str(synth_dir)},
+            "probe": {"--sequence": "1,2", "--n": "2", "--topk": "5", "--out": out}}
+    cases = [(command, {**base[command], flag: f"1,{v}" if flag == "--sequence" else str(v)},
+              _edge_exit_code(command, flag, v))
+             for command, flags in _INT_FLAGS.items() for flag in flags for v in _EDGE_INTS]
+    # the probe's seeds run from --seed to --seed + n - 1
+    cases.append(("probe", {**base["probe"], "--seed": str(2**64 - 1)}, 2))
+    escapes = []
+    for command, flags, want in cases:
+        argv = [command, "--ckpt", str(trained_ckpt)] + [a for kv in flags.items() for a in kv]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # a traceback, or argparse's usage text
+            escapes.append((argv[3:], repr(exc)))
+            continue
+        err = capsys.readouterr().err.splitlines()
+        prefixed = all(line.startswith(f"seqdiff {command}: ") for line in err)
+        if code != want or len(err) > 1 or (code == 2 and not err) or not prefixed:
+            escapes.append((argv[3:], code, err))
+    assert escapes == []
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1, 2.5, "7", None, True],
                          ids=["Infinity", "NaN", "-1", "2.5", "string-7", "null", "true"])
 @pytest.mark.parametrize("field", ["vocab_size", "epoch"])

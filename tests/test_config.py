@@ -76,6 +76,8 @@ def test_parse_errors_name_the_line_and_the_field(text, message):
     ("blocks", -1),
     ("patience", 0),
     ("eval_every", -1),
+    ("seed", -1),  # RngStream would alias it to 2**64 - 1
+    ("seed", 2**64),
     ("dropout_block", 1.0),
     ("dropout_block", -0.1),
     ("dropout_emb", 1.5),

@@ -104,9 +104,10 @@ def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_
         cfg = desk_config(dim=16, max_len=6, delta=0.3, lambda_scalar=scalar_lambda,
                           approximator=approximator)
         model = _random_model(cfg, seed=2)
-        lengths = np.array([6, 2, 5, 1])  # right-padded rows of mixed lengths
+        items = np.tile(np.arange(1, 7) % 5 + 1, (4, 1))
+        lengths = np.array([6, 2, 5, 1])  # `mix` takes right-padded rows of mixed lengths
         mask = (np.arange(6) < lengths[:, None]).astype(float)
-        hist = np.where(mask > 0, np.arange(1, 7) % 5 + 1, 0)
+        hist = np.where(mask > 0, items, 0)
         x = np.random.default_rng(1).normal(size=(4, cfg.dim))  # float64, as the reversal's
 
         def rng():
@@ -116,7 +117,9 @@ def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_
             e_seq = embedding_lookup(model.params["item_emb"], hist)
             z = mix(e_seq, x, step_embedding_batch([3, 1, 4, 1], cfg.dim), cfg.delta, rng(),
                     mask, scalar_lambda)
-            return z, model.reconstruct(hist, mask, x, [3, 1, 4, 1], rng(), train_mode=False)
+            # eval rows are unpadded
+            return z, model.reconstruct(items, np.ones((4, 6)), x, [3, 1, 4, 1], rng(),
+                                        train_mode=False)
 
         z, recon = call()
         assert calls == [] and z.data.dtype == recon.data.dtype == np.dtype(dtype)
@@ -138,9 +141,8 @@ def _random_model(cfg, seed=0):
 
 def test_forward_output_shape():
     model = _random_model(tiny_config())
-    hist = np.array([[1, 2, 3, 0], [4, 5, 0, 0]])
-    mask = (hist > 0).astype(float)
-    out = model.reconstruct(hist, mask, np.zeros((2, 8)), np.array([3, 5]),
+    hist = np.array([[1, 2, 3, 4], [4, 5, 1, 2]])
+    out = model.reconstruct(hist, np.ones((2, 4)), np.zeros((2, 8)), np.array([3, 5]),
                             RngStream(1), train_mode=False)
     assert out.shape == (2, 8)
 
@@ -158,10 +160,10 @@ def test_forward_single_item_sequence_deterministic():
 
 def test_forward_rejects_all_padding():
     model = _random_model(tiny_config())
-    hist = np.array([[0, 0]])
-    with pytest.raises(ValueError):
-        model.forward(Tensor(np.zeros((1, 2, 8))), np.zeros((1, 2)),
-                      train_mode=False)
+    with pytest.raises(ValueError, match="no valid positions"):
+        model.forward(Tensor(np.zeros((1, 2, 8))), np.zeros((1, 2)), True, RngStream(0))
+    with pytest.raises(ValueError, match="eval rows must be unpadded"):
+        model.forward(Tensor(np.zeros((1, 2, 8))), np.zeros((1, 2)), train_mode=False)
 
 
 def test_forward_rejects_overlong_sequences():
@@ -174,15 +176,15 @@ def test_forward_rejects_overlong_sequences():
 
 def test_padding_content_invariance():
     """Embedding content at padded positions cannot leak into the output."""
-    cfg = tiny_config()
+    cfg = tiny_config(dropout_block=0.0, dropout_emb=0.0)  # padding is training's alone
     model = _random_model(cfg)
     hist_a = np.array([[1, 2, 3, 0, 0]])
     hist_b = np.array([[1, 2, 3, 4, 4]])  # different ids behind the padding
     mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
     x = np.ones((1, 8))
     s = np.array([2])
-    out_a = model.reconstruct(hist_a, mask, x, s, RngStream(11), train_mode=False)
-    out_b = model.reconstruct(hist_b, mask, x, s, RngStream(11), train_mode=False)
+    out_a = model.reconstruct(hist_a, mask, x, s, RngStream(11), train_mode=True)
+    out_b = model.reconstruct(hist_b, mask, x, s, RngStream(11), train_mode=True)
     assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
 
@@ -252,22 +254,22 @@ def test_gru_zero_input_zero_bias_gives_zero():
 def test_gru_output_shape():
     cfg = tiny_config(approximator="gru")
     model = _random_model(cfg)
-    hist = np.array([[1, 2, 0], [3, 4, 5]])
-    mask = (hist > 0).astype(float)
-    out = model.reconstruct(hist, mask, np.zeros((2, 8)), np.array([1, 2]),
+    hist = np.array([[1, 2, 1], [3, 4, 5]])
+    out = model.reconstruct(hist, np.ones((2, 3)), np.zeros((2, 8)), np.array([1, 2]),
                             RngStream(2), train_mode=False)
     assert out.shape == (2, 8)
 
 
 def test_gru_respects_padding():
-    cfg = tiny_config(approximator="gru")
+    cfg = tiny_config(approximator="gru", dropout_emb=0.0)  # padding is training's alone
     model = _random_model(cfg)
     mask = np.array([[1.0, 1.0, 0.0]])
+    # the padded row's first two lambda rows are the short row's draws
     out_padded = model.reconstruct(np.array([[1, 2, 3]]), mask, np.zeros((1, 8)),
-                                   np.array([1]), RngStream(3), train_mode=False)
+                                   np.array([1]), RngStream(3), train_mode=True)
     out_short = model.reconstruct(np.array([[1, 2]]), np.ones((1, 2)),
                                   np.zeros((1, 8)), np.array([1]), RngStream(3),
-                                  train_mode=False)
+                                  train_mode=True)
     assert np.allclose(out_padded.data, out_short.data, atol=1e-12)
 
 
@@ -300,7 +302,24 @@ def test_forward_rejects_masks_that_are_not_right_padded(approximator, mask_row)
     model = _random_model(cfg)
     mask = np.array([[1.0, 1.0, 0.0], mask_row])
     with pytest.raises(ValueError, match="row 1 .*right-padded"):
-        model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, train_mode=False)
+        model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, True, RngStream(0))
+
+
+@pytest.mark.parametrize("approximator", ["transformer", "gru"])
+@pytest.mark.parametrize("entry", ["forward", "reconstruct", "encode_history"])
+def test_eval_refuses_padded_rows(approximator, entry):
+    # scorers group eval histories by length, so an eval row is never padded
+    cfg = tiny_config(approximator=approximator)
+    model = _random_model(cfg)
+    hist = np.array([[1, 2, 3], [4, 5, 0]])
+    mask = (hist > 0).astype(float)
+    call = {"forward": lambda: model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, False),
+            "reconstruct": lambda: model.reconstruct(hist, mask, np.zeros((2, cfg.dim)),
+                                                     [1, 2], RngStream(1), train_mode=False),
+            "encode_history": lambda: model.encode_history(hist, mask, train_mode=False)}[entry]
+    with pytest.raises(ValueError, match="eval rows must be unpadded"):
+        call()
+    model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, True, RngStream(0))  # training takes them
 
 
 # the GRU's tensors, in the order the tests below draw their added noise in
@@ -341,7 +360,12 @@ def test_gru_forward_matches_numpy_reference(train_mode):
     lengths = np.array([4, 1, 3, 4])
     mask = (np.arange(4) < lengths[:, None]).astype(float)
     z = gen.normal(size=(4, 4, cfg.dim))
-    out = model.forward(Tensor(z), mask, train_mode, RngStream(0) if train_mode else None)
+    if train_mode:  # right-padded rows of mixed lengths
+        out = model.forward(Tensor(z), mask, True, RngStream(0))
+    else:  # each row unpadded, in its own call
+        out = Tensor(np.concatenate([model.forward(Tensor(row[None, :n]), np.ones((1, n)),
+                                                   False).data
+                                     for row, n in zip(z, lengths)]))
     assert out.shape == (4, cfg.dim)
     assert np.abs(out.data - _numpy_gru(model.params, z, lengths)).max() < 1e-12
 
@@ -417,21 +441,21 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
 
 def _check_eval_array_path(dtype, cfg, perturbed, reference):
     """An eval forward gives the bytes of `reference(model, z, mask)`, a
-    taped training forward at zero dropout, on right-padded rows of mixed
-    lengths. `perturbed(params)` names the tensors that get nonzero noise."""
+    taped training forward at zero dropout, on unpadded rows of lengths 6
+    and 1. `perturbed(params)` names the tensors that get nonzero noise."""
     set_default_dtype(dtype)
     try:
         model = _random_model(cfg, seed=8)
         gen = np.random.default_rng(cfg.dim)
         for t in perturbed(model.params):
             t.data += gen.normal(scale=0.3, size=t.shape).astype(dtype)
-        lengths = np.array([6, 2, 5, 1, 6])
-        mask = (np.arange(6) < lengths[:, None]).astype(float)
-        z = Tensor(gen.normal(size=(5, 6, cfg.dim)))
-        out = model.forward(z, mask, train_mode=False).data
-        want = reference(model, z, mask)
-        assert out.dtype == want.dtype == np.dtype(dtype)
-        assert out.tobytes() == want.tobytes()
+        for n in (6, 1):
+            mask = np.ones((5, n))
+            z = Tensor(gen.normal(size=(5, n, cfg.dim)))
+            out = model.forward(z, mask, train_mode=False).data
+            want = reference(model, z, mask)
+            assert out.dtype == want.dtype == np.dtype(dtype)
+            assert out.tobytes() == want.tobytes()
     finally:
         set_default_dtype(np.float64)
 
@@ -454,7 +478,8 @@ def test_gru_eval_array_path_has_the_bytes_of_the_taped_path(dim, dtype):
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])
 def test_eval_forward_records_nothing_under_a_tape(approximator):
     cfg = tiny_config(approximator=approximator)
-    model, z, mask = _mixed_length_batch(cfg, seed=9)
+    model, z, _ = _mixed_length_batch(cfg, seed=9)
+    mask = np.ones(z.shape[:2])
     z.requires_grad = True
     want = model.forward(z, mask, train_mode=False)
     with Tape() as tape:  # every parameter and the input tracked
@@ -582,7 +607,7 @@ def test_final_block_products_take_one_row_per_sequence(with_dropout, monkeypatc
 def test_transformer_forward_matches_the_full_rows_reference(blocks):
     cfg = tiny_config(blocks=blocks, max_len=6, dropout_block=0.0, dropout_emb=0.0)
     model, z, mask = _mixed_length_batch(cfg, seed=blocks)
-    out = model.forward(z, mask, train_mode=False).data
+    out = model.forward(z, mask, True, RngStream(0)).data
     want = _full_rows(model, z, mask).data
     assert out.shape == want.shape
     assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()

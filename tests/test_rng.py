@@ -22,6 +22,16 @@ def test_derived_streams_are_deterministic_and_distinct():
     assert not np.array_equal(root.derive(3).gaussian((8,)), root.derive(4).gaussian((8,)))
 
 
+@pytest.mark.parametrize("seed,key", [(-1, ()), (2**64, ()), (10**30, ()), (0, (-1,)),
+                                      (0, (3, 2**64))])
+def test_seeds_and_keys_outside_64_bits_are_refused(seed, key):
+    # masked to 64 bits, -1 would run seed 2**64 - 1 and 2**64 seed 0
+    with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+        RngStream(seed, key)
+    top = RngStream(2**64 - 1, (2**64 - 1,))
+    assert (top.seed, top._key) == (2**64 - 1, (2**64 - 1,))
+
+
 def test_derivation_does_not_disturb_parent_state():
     a, b = RngStream(5), RngStream(5)
     a.derive(0)
