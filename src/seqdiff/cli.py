@@ -50,7 +50,16 @@ def _cmd_schedule_dump(args) -> int:
     return 0
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out that no file can be written to, before any work is done."""
+    if path is not None and Path(path).is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if path is not None and not Path(path).parent.is_dir():
+        raise ValueError(f"--out {path}: directory {Path(path).parent} does not exist")
+
+
 def _cmd_train(args) -> int:
+    _check_out(args.out)
     dataset = load_processed(args.data)
     cfg = load_config(args.config) if args.config else TrainConfig()
     if args.seed is not None:
@@ -86,6 +95,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out(args.out)
     ckpt = load_checkpoint(args.ckpt)
     dataset = load_processed(args.data)
     splits = split(dataset)
@@ -107,6 +117,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _check_out(args.out)
     ckpt = load_checkpoint(args.ckpt)
     scorer = build_scorer(ckpt, steps=args.steps)
     sequence = _parse_sequence(args.sequence)

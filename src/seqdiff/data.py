@@ -279,8 +279,9 @@ def load_processed(data_dir) -> SequenceDataset:
             idx_str, tab, item = line.rstrip("\n").partition("\t")
             if not tab:
                 raise DataFormatError(f"{vocab_path}: line {lineno}: expected index<TAB>item_id")
-            if _index(idx_str, vocab_path, lineno) != lineno:
-                raise DataFormatError(f"{vocab_path}: non-contiguous index at line {lineno}")
+            if _index(idx_str, vocab_path, lineno) != len(item_ids) + 1:
+                raise DataFormatError(f"{vocab_path}: line {lineno}: non-contiguous index, "
+                                      f"expected {len(item_ids) + 1}")
             item_ids.append(item)
     n_items = len(item_ids)
     for seq in sequences:

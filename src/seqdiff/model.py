@@ -9,9 +9,10 @@ block computes only that row; its keys and values still cover every valid
 position. `train_mode` alone picks the forward: training records a taped
 forward with dropout, eval runs it without dropout on plain arrays.
 
-Training rows are right-padded: index 0 of the item table is the padding row
-and never receives gradient, and padded positions are excluded as keys. Eval
-rows are unpadded (scorers group histories by length); eval refuses padding.
+Training rows are right-padded, and only the encoders handle padding: padded
+positions are excluded as keys and the output is read at each row's last valid
+position, so the ids behind the padding change no byte and get zero gradient.
+Eval rows are unpadded (scorers group histories by length); eval refuses padding.
 Attention is unmasked: the network reconstructs one target from a completed
 history, so there is no causal constraint; learned positional embeddings keep
 the encoder order-aware.
@@ -48,14 +49,14 @@ def step_embedding_batch(steps, dim: int) -> np.ndarray:
 
 
 def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
-        mask: np.ndarray | None = None, scalar_lambda: bool = False) -> Tensor:
+        scalar_lambda: bool = False) -> Tensor:
     """Blend the target representation into every history position.
 
     z_i = e_i + lambda_i * (x + d) with lambda drawn i.i.d. from a normal
     with mean `delta` and variance `delta` (per position and, unless
     `scalar_lambda`, per dimension). delta=0 reduces to the raw embeddings.
-    Padded positions come out as zero vectors. `rng` is one stream, or a
-    list of one stream per row that each draw that row's lambda block.
+    `rng` is one stream, or a list of one stream per row that each draw
+    that row's lambda block.
 
     When no tape records `e_seq` or `x`, the blend runs on the `.data`
     arrays, cast to the default dtype as `Tensor()` casts them, and only z
@@ -73,13 +74,8 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
     if not tracked(e_seq, x):
         z = lam.astype(default_dtype(), copy=False) * (x.data.reshape(b, 1, dim) + d)
         z += e_seq.data
-        if mask is not None:
-            z *= mask.reshape(b, n, 1).astype(z.dtype, copy=False)
         return Tensor(z)
-    z = add(e_seq, mul(Tensor(lam), add(reshape(x, (b, 1, dim)), Tensor(d))))
-    if mask is not None:
-        z = mul(z, Tensor(mask.reshape(b, n, 1).astype(z.data.dtype)))
-    return z
+    return add(e_seq, mul(Tensor(lam), add(reshape(x, (b, 1, dim)), Tensor(d))))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +184,7 @@ def transformer_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
         k = _split_heads(matmul(h, params[w + "wk"]), b, n, heads, dh)
         v = _split_heads(matmul(h, params[w + "wv"]), b, n, heads, dh)
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng)
+        probs = dropout(softmax(add(scores, key_bias)), cfg.dropout_block, rng)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, m, dim))
         attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng)
         h = layer_norm(add(rows, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])
@@ -349,8 +345,7 @@ class Approximator:
         """Full estimate: embed history, lambda-mix with (x + step encoding), encode."""
         e_seq = embedding_lookup(self.params["item_emb"], hist)
         d = step_embedding_batch(steps, self.cfg.dim)
-        z = mix(e_seq, x, d, self.cfg.delta, rng, mask if train_mode else None,
-                self.cfg.lambda_scalar)
+        z = mix(e_seq, x, d, self.cfg.delta, rng, self.cfg.lambda_scalar)
         return self.forward(z, mask, train_mode, rng)
 
     def encode_history(self, hist: np.ndarray, mask: np.ndarray,
@@ -358,7 +353,4 @@ class Approximator:
                        item_table: Tensor | None = None) -> Tensor:
         """Plain next-item encoding (no mixing); used by the adversarial mode."""
         table = self.params["item_emb"] if item_table is None else item_table
-        e_seq = embedding_lookup(table, hist)
-        if train_mode:
-            e_seq = mul(e_seq, Tensor(np.reshape(mask, (*e_seq.shape[:2], 1))))
-        return self.forward(e_seq, mask, train_mode, rng)
+        return self.forward(embedding_lookup(table, hist), mask, train_mode, rng)

@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import ShapeMismatchError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moments' decay rates; the denominator's offset
+
 
 class Adam:
     """Standard Adam with bias correction.
@@ -15,18 +17,15 @@ class Adam:
     untouched exactly). The moments are updated in place, and each
     parameter's update is computed in one scratch buffer kept across
     steps. For a gradient of the parameter's dtype these are the
-    floating-point operations, in the same order, of `m = b1*m + (1-b1)*g`,
-    `v = b2*v + (1-b2)*(g*g)` and `p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`.
+    floating-point operations, in the same order, of `m = BETA1*m + (1-BETA1)*g`,
+    `v = BETA2*v + (1-BETA2)*(g*g)` and `p -= lr * (m/bc1) / (sqrt(v/bc2) + EPS)`.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 0.001):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -36,9 +35,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for p, m, v, (num, den) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:
@@ -46,15 +44,15 @@ class Adam:
             elif g.shape != p.data.shape:
                 raise ShapeMismatchError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=num)
-            v *= b2
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=num)
+            v *= BETA2
             np.multiply(g, g, out=den)
-            den *= 1.0 - b2
+            den *= 1.0 - BETA2
             v += den
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             np.divide(m, bc1, out=num)
             num *= self.lr
             num /= den

@@ -289,24 +289,22 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_array(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-stabilized softmax of a plain array along `axis`; `softmax` runs this."""
-    e = a - a.max(axis=axis, keepdims=True)
+def softmax_array(a: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax of a plain array over its last axis; `softmax` runs this."""
+    e = a - a.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along `axis`; rows sum to one."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ValueError(f"axis {axis} invalid for shape {a.shape}")
-    p = softmax_array(a.data, axis)
+def softmax(a: Tensor) -> Tensor:
+    """Max-stabilized softmax over the last axis; rows sum to one."""
+    p = softmax_array(a.data)
     out = Tensor(p)
     if tracked(a):
 
         def bwd(g):
-            dot = (g * p).sum(axis=axis, keepdims=True)
+            dot = (g * p).sum(axis=-1, keepdims=True)
             return (p * (g - dot),)
 
         _record(out, (a,), bwd)

@@ -199,6 +199,9 @@ _EXPECTED_ERRORS = {
     "ckpt-blocks-10000000": "blocks must be in [0, 100] (config.MAX_BLOCKS_LIMIT), got 10000000",
     "probe-topk-over-catalogue": "top-k 16 exceeds the catalogue's 15 items",
     "probe-n-over-ceiling": "at most 100000 reversals (evaluate.MAX_REVERSALS), got 100000000",
+    "out-train-missing-dir": "nodir does not exist",
+    "out-eval-missing-dir": "nodir does not exist",
+    "out-probe-is-dir": "is a directory",
 }
 
 
@@ -209,7 +212,9 @@ _EXPECTED_ERRORS = {
                                    "ckpt-removed-key", "ckpt-float-dim", "config-removed-key",
                                    "train-params-over-ceiling", "config-float-dim",
                                    "config-bad-float", "ckpt-blocks-10000000",
-                                   "probe-topk-over-catalogue", "probe-n-over-ceiling"])
+                                   "probe-topk-over-catalogue", "probe-n-over-ceiling",
+                                   "out-train-missing-dir", "out-eval-missing-dir",
+                                   "out-probe-is-dir"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -240,6 +245,12 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         argv = ["baseline", "--data", str(tmp_path / "nodir")]
     elif fault == "infer-topk-negative":
         argv += ["--topk", "-3"]
+    elif fault.startswith("out-"):  # refused before any work: no epoch line, no report
+        out = str(tmp_path if fault == "out-probe-is-dir" else tmp_path / "nodir" / "out")
+        argv = {"train": ["train", "--data", str(synth_dir), "--config",
+                          str(tmp_path / "train.cfg"), "--out", out],
+                "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(synth_dir), "--out", out],
+                "probe": ["probe", *argv[1:], "--out", out]}[fault.split("-")[1]]
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
         argv += {"probe-n-negative": ["--n", "-5"], "probe-topk-0": ["--topk", "0"],

@@ -265,6 +265,15 @@ def test_load_processed_names_file_and_line_of_bad_token(tmp_path, name, text):
     assert str(err.value).startswith(f"{tmp_path / name}: line 2: ")
 
 
+def test_load_processed_counts_vocab_indices_past_blank_lines(tmp_path):
+    save_processed(synth("cyclic", 3, 2, 4, seed=0), tmp_path)
+    (tmp_path / "vocab.tsv").write_text("1\ta\n\n2\tb\n3\tc\n")
+    assert load_processed(tmp_path).item_ids == ["a", "b", "c"]
+    (tmp_path / "vocab.tsv").write_text("1\ta\n\n3\tc\n")
+    with pytest.raises(DataFormatError, match="line 3: non-contiguous index, expected 2"):
+        load_processed(tmp_path)
+
+
 def test_ingest_rejects_negative_timestamp(tmp_path):
     path = _write(tmp_path, "u1\ti9\t-5\n")
     with pytest.raises(DataFormatError):

@@ -10,6 +10,7 @@ from seqdiff.rng import RngStream
 from seqdiff.tensor import (Tape, Tensor, add, backward, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape, scale,
                             set_default_dtype, sigmoid, softmax, tanh, transpose)
+from seqdiff.train import loss_batch
 
 model_mod = importlib.import_module("seqdiff.model")
 
@@ -57,15 +58,6 @@ def test_mix_zero_projection_returns_embeddings():
     e = Tensor(np.random.default_rng(1).normal(size=(1, 5, 4)))
     z = mix(e, np.zeros((1, 4)), np.zeros((1, 4)), delta=0.5, rng=RngStream(2))
     assert np.allclose(z.data, e.data)
-
-
-def test_mix_zeroes_padded_positions():
-    e = Tensor(np.ones((1, 4, 3)))
-    mask = np.array([[1.0, 1.0, 0.0, 0.0]])
-    z = mix(e, np.ones((1, 3)), np.ones((1, 3)), delta=0.01, rng=RngStream(3),
-            mask=mask)
-    assert np.all(z.data[0, 2:] == 0.0)
-    assert np.all(z.data[0, :2] != 0.0)
 
 
 def test_mix_monte_carlo_mean():
@@ -116,14 +108,13 @@ def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_
         def call():
             e_seq = embedding_lookup(model.params["item_emb"], hist)
             z = mix(e_seq, x, step_embedding_batch([3, 1, 4, 1], cfg.dim), cfg.delta, rng(),
-                    mask, scalar_lambda)
+                    scalar_lambda)
             # eval rows are unpadded
             return z, model.reconstruct(items, np.ones((4, 6)), x, [3, 1, 4, 1], rng(),
                                         train_mode=False)
 
         z, recon = call()
         assert calls == [] and z.data.dtype == recon.data.dtype == np.dtype(dtype)
-        assert np.all(z.data[mask == 0] == 0.0)
         with Tape() as tape:
             taped_z, taped_recon = call()
             assert len(tape) > 0
@@ -175,17 +166,32 @@ def test_forward_rejects_overlong_sequences():
 
 
 def test_padding_content_invariance():
-    """Embedding content at padded positions cannot leak into the output."""
-    cfg = tiny_config(dropout_block=0.0, dropout_emb=0.0)  # padding is training's alone
-    model = _random_model(cfg)
-    hist_a = np.array([[1, 2, 3, 0, 0]])
-    hist_b = np.array([[1, 2, 3, 4, 4]])  # different ids behind the padding
-    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    x = np.ones((1, 8))
-    s = np.array([2])
-    out_a = model.reconstruct(hist_a, mask, x, s, RngStream(11), train_mode=True)
-    out_b = model.reconstruct(hist_b, mask, x, s, RngStream(11), train_mode=True)
-    assert np.allclose(out_a.data, out_b.data, atol=1e-12)
+    """The ids behind the padding change no training byte: not the output,
+    the loss or any gradient. Nothing zeroes padded positions; the encoders
+    alone ignore them, through the key bias and the reads at each row's last
+    valid position."""
+    hist_zeros = np.array([[1, 2, 3, 4, 5], [2, 3, 1, 0, 0], [4, 0, 0, 0, 0]])
+    mask = (hist_zeros > 0).astype(float)
+    hist_ids = np.where(mask > 0, hist_zeros, [5, 4, 3, 2, 1])  # padding row 0 or real ids
+    targets = np.array([3, 5, 1])
+    for approximator, blocks in (("transformer", 0), ("transformer", 1), ("transformer", 2),
+                                 ("gru", 2)):
+        cfg = tiny_config(approximator=approximator, blocks=blocks, delta=0.3,
+                          dropout_block=0.2, dropout_emb=0.2)
+        runs = []
+        for hist in (hist_zeros, hist_ids):
+            model = _random_model(cfg, seed=4)
+            table = model.params["item_emb"]
+            with Tape() as tape:
+                x = embedding_lookup(table, targets)  # taped, as training's x_s is
+                out = model.reconstruct(hist, mask, x, np.array([2, 7, 5]), RngStream(11),
+                                        train_mode=True)
+                loss = loss_batch(out, targets, table)
+                backward(tape, loss)
+            assert all(t.grad is not None for t in model.params.values())
+            runs.append([out.data, loss.data, *(t.grad for t in model.params.values())])
+        for name, a, b in zip(["output", "loss", *model.params], *runs):
+            assert a.tobytes() == b.tobytes(), f"{approximator}, {blocks} blocks: {name}"
 
 
 def test_step_embedding_changes_output():
@@ -544,7 +550,7 @@ def _full_rows_transformer_forward(z_seq, mask, last, params, cfg, rng):
         q, k, v = (model_mod._split_heads(matmul(h, params[w + name]), b, n, heads, dh)
                    for name in ("wq", "wk", "wv"))
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = dropout(softmax(add(scores, key_bias), axis=-1), cfg.dropout_block, rng)
+        probs = dropout(softmax(add(scores, key_bias)), cfg.dropout_block, rng)
         ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, n, dim))
         attn_out = dropout(matmul(ctx, params[w + "wo"]), cfg.dropout_block, rng)
         h = layer_norm(add(h, attn_out), params[w + "ln1_g"], params[w + "ln1_b"])

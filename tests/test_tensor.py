@@ -35,31 +35,26 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_softmax_uniform_on_equal_logits():
-    out = softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
+    out = softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_hand_case():
-    out = softmax(Tensor([0.0, math.log(2.0)]), axis=-1)
+    out = softmax(Tensor([0.0, math.log(2.0)]))
     assert np.allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_softmax_large_logits_no_overflow():
-    out = softmax(Tensor([1000.0, 1000.0]), axis=-1)
+    out = softmax(Tensor([1000.0, 1000.0]))
     assert np.allclose(out.data, [0.5, 0.5])
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(7, 11)) * 10)
-    out = softmax(x, axis=1)
+    out = softmax(x)
     assert np.all(out.data >= 0)
     assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-12
-
-
-def test_softmax_invalid_axis():
-    with pytest.raises(ValueError):
-        softmax(Tensor([1.0, 2.0]), axis=2)
 
 
 def test_layer_norm_identity_on_standardized_input():
@@ -200,7 +195,7 @@ def test_gradients_match_finite_differences(op, shapes):
         elif op == "mul_broadcast":
             out = mul(tensors[0], tensors[1])
         elif op == "softmax":
-            out = softmax(tensors[0], axis=-1)
+            out = softmax(tensors[0])
         elif op == "layer_norm":
             gain = Tensor(np.linspace(0.5, 1.5, 8))
             bias = Tensor(np.zeros(8))
@@ -391,17 +386,17 @@ def test_array_helpers_leave_their_inputs_alone(dtype):
     x = (gen.normal(scale=2.0, size=(3, 4, 16)) * np.linspace(0.1, 10.0, 16)).astype(dtype)
     gain, bias = gen.normal(size=16).astype(dtype), gen.normal(size=16).astype(dtype)
     before = [a.copy() for a in (x, gain, bias)]
-    outs = [tensor_module.softmax_array(x, axis=1), tensor_module.softmax_array(x),
-            tensor_module.sigmoid_array(x), *tensor_module.layer_norm_array(x, gain, bias)]
+    outs = [tensor_module.softmax_array(x), tensor_module.sigmoid_array(x),
+            *tensor_module.layer_norm_array(x, gain, bias)]
     for a, kept in zip((x, gain, bias), before):
         assert a.tobytes() == kept.tobytes()
     for out in outs:
         assert out.dtype == dtype
         assert not any(np.shares_memory(out, a) for a in (x, gain, bias))
-    y, xhat, _ = outs[3:]
+    y, xhat, _ = outs[2:]
     assert not np.shares_memory(y, xhat)  # the backward of `layer_norm` reads xhat
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    assert outs[1].tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    assert outs[0].tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 def test_dropout_at_rate_zero_is_identity():
