@@ -11,6 +11,8 @@ order. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -100,7 +102,9 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
+    """Read n bytes; a length past the end of the file is refused before reading,
+    so a declared length costs no memory beyond the file's size."""
+    buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(buf) != n:
         raise CheckpointTruncatedError(f"file ends inside {what}")
     return buf
@@ -133,7 +137,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 raise CheckpointShapeError(f"tensor {name!r} declares dims {dims}")
             if name in tensors:
                 raise CheckpointShapeError(f"duplicate tensor name {name!r}")
-            count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+            count = math.prod(dims)
             payload = _read_exact(fh, 8 * count, f"data of {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
             if not np.all(np.isfinite(tensors[name])):

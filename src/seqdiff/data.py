@@ -207,30 +207,21 @@ def synth(kind: str, n_users: int, n_items: int, seq_len: int,
     if kind not in ("cyclic", "markov"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = RngStream(seed)
-    sequences = []
-    if kind == "cyclic":
-        for _ in range(n_users):
-            cur = int(rng.integers(1, n_items + 1))
-            seq = [cur]
-            for _ in range(seq_len - 1):
-                cur = (cur % n_items) + 1
-                seq.append(cur)
-            sequences.append(seq)
-    else:
+    if kind == "markov":
         dominant = rng.integers(1, n_items + 1, size=n_items)
-        for _ in range(n_users):
-            cur = int(rng.integers(1, n_items + 1))
-            seq = [cur]
-            for _ in range(seq_len - 1):
-                dom = int(dominant[cur - 1])
-                if float(rng.uniform(1)[0]) < 0.8:
-                    cur = dom
-                else:
-                    # uniform over the non-dominant successors
-                    pick = int(rng.integers(0, n_items - 1))
-                    cur = pick + 1 if pick + 1 < dom else pick + 2
-                seq.append(cur)
-            sequences.append(seq)
+    sequences = []
+    for _ in range(n_users):
+        cur = int(rng.integers(1, n_items + 1))
+        seq = [cur]
+        for _ in range(seq_len - 1):
+            dom = (cur % n_items) + 1 if kind == "cyclic" else int(dominant[cur - 1])
+            if kind == "cyclic" or float(rng.uniform(1)[0]) < 0.8:
+                cur = dom
+            else:  # uniform over the non-dominant successors
+                pick = int(rng.integers(0, n_items - 1))
+                cur = pick + 1 if pick + 1 < dom else pick + 2
+            seq.append(cur)
+        sequences.append(seq)
     user_ids = [f"u{i}" for i in range(n_users)]
     item_ids = [str(i) for i in range(1, n_items + 1)]
     n_actions = sum(len(s) for s in sequences)

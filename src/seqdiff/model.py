@@ -83,25 +83,20 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
 # ---------------------------------------------------------------------------
 
 
-_GRU_GATES = ("r", "z", "n")
-
-
 def param_shapes(vocab_size: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in the order of the parameter table
     and of the checkpoint records, without allocating any of them.
 
     The transformer has the item and positional tables, then per block the
     attention and feed-forward weights. The GRU has the item table, then its
-    tensors sorted by name: input weights and biases per gate, and the r, z
-    and n gates' recurrent weights side by side in wh (dim, 3·dim) and bh.
+    biases and weights, each holding the r, z and n gates side by side: the
+    recurrent bh and wh (dim, 3·dim), then the input-side bi and wi (dim, 3·dim).
     """
     dim = cfg.dim
     shapes = {"item_emb": (vocab_size + 1, dim)}
     if cfg.approximator == "gru":
-        gates = {"wh": (dim, 3 * dim), "bh": (3 * dim,)}
-        for gate in _GRU_GATES:
-            gates[f"wi_{gate}"], gates[f"bi_{gate}"] = (dim, dim), (dim,)
-        shapes.update((f"gru.{k}", gates[k]) for k in sorted(gates))
+        shapes.update({"gru.bh": (3 * dim,), "gru.bi": (3 * dim,),
+                       "gru.wh": (dim, 3 * dim), "gru.wi": (dim, 3 * dim)})
         return shapes
     shapes["pos_emb"] = (cfg.max_len, dim)
     block = {"wq": (dim, dim), "wk": (dim, dim), "wv": (dim, dim), "wo": (dim, dim),
@@ -117,9 +112,10 @@ def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream) -> dict[str, 
 
     Embedding tables are normal with std 1/sqrt(dim), other matrices
     Xavier-normal, biases zero and layer-norm gains one. The transformer
-    draws its matrices in table order. The GRU's table is sorted by name, so
-    its draws are not in table order: after item_emb they are wi_r, wh_r,
-    wi_z, wh_z, wi_n and wh_n, with the three wh draws side by side in gru.wh.
+    draws its matrices in table order. The GRU's draws are not: after
+    item_emb they are one (dim, dim) block per gate and side, in the order
+    input r, recurrent r, input z, recurrent z, input n, recurrent n, and
+    each side's three blocks sit side by side in gru.wi and gru.wh.
     """
     shapes = param_shapes(vocab_size, cfg)
 
@@ -129,11 +125,9 @@ def init_params(vocab_size: int, cfg: TrainConfig, rng: RngStream) -> dict[str, 
     drawn = {name: rng.gaussian(shapes[name], std=1.0 / np.sqrt(cfg.dim))
              for name in ("item_emb", "pos_emb") if name in shapes}
     if cfg.approximator == "gru":
-        wh = []
-        for gate in _GRU_GATES:
-            drawn[f"gru.wi_{gate}"] = xavier((cfg.dim, cfg.dim))
-            wh.append(xavier((cfg.dim, cfg.dim)))
-        drawn["gru.wh"] = np.concatenate(wh, axis=1)
+        gates = [xavier((cfg.dim, cfg.dim)) for _ in range(6)]
+        drawn["gru.wi"] = np.concatenate(gates[0::2], axis=1)
+        drawn["gru.wh"] = np.concatenate(gates[1::2], axis=1)
     for name, shape in shapes.items():
         if name not in drawn:
             drawn[name] = (xavier(shape) if len(shape) == 2
@@ -246,21 +240,18 @@ def gru_forward(z_seq: Tensor, mask: np.ndarray, last: np.ndarray,
                 params: dict[str, Tensor], cfg: TrainConfig, rng: RngStream) -> Tensor:
     """Training forward of the single-layer GRU: (B, n, dim) -> (B, dim).
 
-    The input side of each gate, z @ wi + bi, is computed for all n positions
-    before the loop (one (n, dim) product per row) and cut into its n
-    per-position parts with `split`. The loop holds one h-side product per
-    position, h @ wh + bh on the (B, dim) state, split into the three gates'
-    parts. It runs over padded positions too; with right padding, the state
-    at position mask.sum(1) - 1 is picked.
+    The input side of all three gates, z @ wi + bi, is computed for all n
+    positions before the loop (one (n, 3·dim) product per row) and cut with
+    one `split` into its 3n per-position, per-gate parts. The loop holds one
+    h-side product per position, h @ wh + bh on the (B, dim) state, split
+    into the three gates' parts. It runs over padded positions too; with
+    right padding, the state at position mask.sum(1) - 1 is picked.
     """
     b, n, dim = z_seq.shape
     z_seq = dropout(z_seq, cfg.dropout_emb, rng)
-
-    def input_side(gate: str) -> list[Tensor]:
-        x = add(matmul(z_seq, params[f"gru.wi_{gate}"]), params[f"gru.bi_{gate}"])
-        return split(reshape(x, (b, n * dim)), (dim,) * n)
-
-    xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
+    x = add(matmul(z_seq, params["gru.wi"]), params["gru.bi"])
+    parts = split(reshape(x, (b, 3 * n * dim)), (dim,) * (3 * n))
+    xr, xz, xn = parts[0::3], parts[1::3], parts[2::3]
     wh, bh = params["gru.wh"], params["gru.bh"]
     h = Tensor(np.zeros((b, dim)))
     states = []
@@ -280,29 +271,24 @@ def _gru_eval_arrays(z: np.ndarray, params: dict[str, Tensor], cfg: TrainConfig)
     `gru_forward` without dropout, with each row's state kept (1, dim): each
     h-side product is one vector-matrix product per row, so a row's bytes
     do not depend on its batch and equal the taped loop's run one row per
-    call. The r and z gates' input parts are added into their columns of
-    the h-side product, which takes one sigmoid. The bias, tanh and state
-    update run in place on arrays the loop made. No array is larger than one
-    gate's (B, n, dim) input product: a joined (B, n, 2·dim) r|z input gave
-    the same bytes, but the training runs after it took more page faults.
+    call. The input side of all three gates is one (B, n, 3·dim) product,
+    biased in place; the r and z gates' input parts are added into their
+    columns of the h-side product, which takes one sigmoid. The bias, tanh
+    and state update run in place on arrays the loop made.
     """
     b, n, dim = z.shape
-
-    def input_side(gate: str) -> np.ndarray:  # x[i] is position i's (B, 1, dim) part
-        x = z @ params[f"gru.wi_{gate}"].data + params[f"gru.bi_{gate}"].data
-        return x.transpose(1, 0, 2)[:, :, None]
-
-    xr, xz, xn = (input_side(gate) for gate in _GRU_GATES)
+    x = z @ params["gru.wi"].data
+    x += params["gru.bi"].data
+    x = x.transpose(1, 0, 2)[:, :, None]  # x[i] is position i's (B, 1, 3·dim) part
     wh, bh = params["gru.wh"].data, params["gru.bh"].data
     h = np.zeros((b, 1, dim), dtype=z.dtype)
     for i in range(n):
         hs = h @ wh
         hs += bh
-        hs[..., :dim] += xr[i]
-        hs[..., dim:2 * dim] += xz[i]
+        hs[..., :2 * dim] += x[i, ..., :2 * dim]
         rz = sigmoid_array(hs[..., :2 * dim])
         cand = rz[..., :dim] * hs[..., 2 * dim:]
-        cand += xn[i]
+        cand += x[i, ..., 2 * dim:]
         np.tanh(cand, out=cand)
         h_new = cand * -1.0
         h_new += h

@@ -437,12 +437,10 @@ def dropout(x: Tensor, p: float, rng: RngStream) -> Tensor:
     return out
 
 
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
-                       ignore_col: int | None = None) -> Tensor:
-    """Mean over rows of -log softmax(row)[target].
-
-    `ignore_col` removes one column (e.g. a padding slot) from the
-    denominator entirely; that column then receives zero gradient.
+def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean over rows of -log softmax(row)[target], with column 0 (the padding
+    slot) removed from the denominator; that column receives zero gradient
+    and may not be a target.
     """
     if logits.ndim != 2:
         raise ShapeMismatchError(f"expected 2-d logits, got shape {logits.shape}")
@@ -450,21 +448,17 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray,
     tgt = np.asarray(targets)
     if tgt.shape != (b,):
         raise ShapeMismatchError(f"targets shape {tgt.shape} != ({b},)")
-    if tgt.min() < 0 or tgt.max() >= n:
-        raise ValueError(f"target index out of range [0, {n})")
-    if ignore_col is not None and np.any(tgt == ignore_col):
-        raise ValueError(f"target equals ignored column {ignore_col}")
-    z = logits.data
-    if ignore_col is not None:
-        z = z.copy()
-        z[:, ignore_col] = -np.inf
+    if tgt.min() < 1 or tgt.max() >= n:
+        raise ValueError(f"target index out of range [1, {n})")
+    z = logits.data.copy()
+    z[:, 0] = -np.inf
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     denom = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(denom[:, 0])
     out = Tensor(np.mean(lse - z[np.arange(b), tgt]))
     if tracked(logits):
-        p = e / denom  # exp(-inf) = 0 keeps the ignored column at zero
+        p = e / denom  # exp(-inf) = 0 keeps the padding column at zero
 
         def bwd(g):
             gl = p.copy()

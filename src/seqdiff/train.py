@@ -61,11 +61,8 @@ def loss_batch(x0_hat: Tensor, targets, item_embeddings: Tensor) -> Tensor:
     tgt = np.asarray(targets)
     if tgt.size == 0:
         raise ValueError("empty target batch")
-    if tgt.min() < 1 or tgt.max() >= item_embeddings.shape[0]:
-        raise ValueError(
-            f"target index out of range [1, {item_embeddings.shape[0]})")
     logits = matmul(x0_hat, transpose(item_embeddings, (1, 0)))
-    return cross_entropy_rows(logits, tgt, ignore_col=0)
+    return cross_entropy_rows(logits, tgt)
 
 
 def _assemble(samples: list[Sample], idx: np.ndarray, max_len: int):

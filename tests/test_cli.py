@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqdiff.cli import main
-from seqdiff.checkpoint import load_checkpoint, save_checkpoint
+from seqdiff.checkpoint import CheckpointTruncatedError, load_checkpoint, save_checkpoint
 from conftest import desk_config, format_config
 
 
@@ -331,6 +331,25 @@ def test_checkpoint_metadata_that_is_not_a_count_is_one_line_and_exit_2(
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"seqdiff infer: metadata field '{field}' must be an integer")
+
+
+@pytest.mark.parametrize("dims", [(2**33,), (2**40, 2**40)], ids=["2^33", "2^40x2^40"])
+def test_a_tensor_longer_than_its_checkpoint_file_is_one_line_and_exit_2(
+        tmp_path, trained_ckpt, dims, capsys):
+    # the trained checkpoint's header and metadata, then one record that
+    # declares `dims` and ends before its payload
+    raw = trained_ckpt.read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[12:16])
+    record = struct.pack(f"<II8sI{len(dims)}Q", 1, 8, b"item_emb", len(dims), *dims)
+    ckpt_path = tmp_path / "bad.ckpt"
+    ckpt_path.write_bytes(raw[:16 + meta_len] + record)
+    with pytest.raises(CheckpointTruncatedError, match="data of 'item_emb'"):
+        load_checkpoint(ckpt_path)
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seqdiff infer: file ends inside data of 'item_emb'\n"
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "probe"])

@@ -329,7 +329,7 @@ def test_eval_refuses_padded_rows(approximator, entry):
 
 
 # the GRU's tensors, in the order the tests below draw their added noise in
-_GRU_KEYS = ("wi_r", "bi_r", "wi_z", "bi_z", "wi_n", "bi_n", "wh", "bh")
+_GRU_KEYS = ("wi", "bi", "wh", "bh")
 
 
 def _gru_tensors(params):
@@ -341,8 +341,9 @@ def _numpy_gru(params, z_seq, lengths):
     g = {k: params["gru." + k].data for k in _GRU_KEYS}
     dim = z_seq.shape[-1]
     for k, gate in enumerate(("r", "z", "n")):
-        g[f"wh_{gate}"] = g["wh"][:, k * dim:(k + 1) * dim]
-        g[f"bh_{gate}"] = g["bh"][k * dim:(k + 1) * dim]
+        for side in ("i", "h"):
+            g[f"w{side}_{gate}"] = g[f"w{side}"][:, k * dim:(k + 1) * dim]
+            g[f"b{side}_{gate}"] = g[f"b{side}"][k * dim:(k + 1) * dim]
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))  # noqa: E731
     out = []
     for z, length in zip(z_seq, lengths):
@@ -377,12 +378,13 @@ def test_gru_forward_matches_numpy_reference(train_mode):
 
 
 def _per_gate_gru_eval(params, z_seq):
-    """Eval-mode GRU with one h-side product per gate, on (B, 1, dim) rows."""
+    """Eval-mode GRU with one h-side product per gate, on (B, 1, dim) rows,
+    after the model's joined input-side product."""
     g = {k: params["gru." + k] for k in _GRU_KEYS}
     b, n, dim = z_seq.shape
-    x = {gate: add(matmul(z_seq, g[f"wi_{gate}"]), g[f"bi_{gate}"]).data.reshape(b, n, 1, dim)
-         for gate in ("r", "z", "n")}
     cols = {gate: slice(k * dim, (k + 1) * dim) for k, gate in enumerate(("r", "z", "n"))}
+    xs = add(matmul(z_seq, g["wi"]), g["bi"]).data.reshape(b, n, 1, 3 * dim)
+    x = {gate: xs[..., c] for gate, c in cols.items()}
     wh = {gate: Tensor(g["wh"].data[:, c]) for gate, c in cols.items()}  # contiguous copies
     bh = {gate: Tensor(g["bh"].data[c]) for gate, c in cols.items()}
     h = Tensor(np.zeros((b, 1, dim)))
@@ -407,6 +409,23 @@ def test_fused_h_side_product_has_the_bytes_of_the_per_gate_products(dim):
     z = Tensor(gen.normal(size=(3, 6, dim)))
     out = model.forward(z, np.ones((3, 6)), train_mode=False)
     assert out.data.tobytes() == _per_gate_gru_eval(model.params, z).tobytes()
+
+
+@pytest.mark.parametrize("dim", [32, 128])
+def test_joined_input_product_has_the_bytes_of_the_per_gate_products(dim):
+    # at dims like 100 the joined product may round differently
+    cfg = desk_config(dim=dim, approximator="gru", max_len=8)
+    model = _random_model(cfg, seed=6)
+    gen = np.random.default_rng(dim)
+    for gate in _gru_tensors(model.params):
+        gate.data += gen.normal(scale=0.1, size=gate.shape)
+    z = gen.normal(size=(3, 6, dim))
+    wi, bi = model.params["gru.wi"].data, model.params["gru.bi"].data
+    joined = z @ wi + bi
+    for k in range(3):
+        cols = slice(k * dim, (k + 1) * dim)
+        per_gate = z @ np.ascontiguousarray(wi[:, cols]) + bi[cols]
+        assert per_gate.tobytes() == np.ascontiguousarray(joined[..., cols]).tobytes()
 
 
 def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
@@ -437,12 +456,12 @@ def test_eval_reconstruct_op_budget_on_a_gru(monkeypatch):
                             [RngStream(1), RngStream(2)], train_mode=False)
     assert out.shape == (2, cfg.dim)
     assert calls == {}
-    # training records 14 nodes per position; before the loop, two per
-    # input-side product, then one reshape to (B, n * dim) and one split each;
-    # after it, stack and gather_rows
+    # training records 14 nodes per position; before the loop, the joined
+    # input-side product and its bias, one reshape to (B, 3 * n * dim) and
+    # one split; after it, stack and gather_rows
     with Tape() as tape:
         model.forward(Tensor(np.ones((2, n, cfg.dim))), np.ones((2, n)), True, RngStream(3))
-        assert len(tape) == 3 * 4 + 14 * n + 2
+        assert len(tape) == 4 + 14 * n + 2
 
 
 def _check_eval_array_path(dtype, cfg, perturbed, reference):
@@ -501,14 +520,13 @@ def test_recurrent_weights_are_the_per_gate_draws_side_by_side():
     params = init_params(9, cfg, RngStream(4))
     rng = RngStream(4)
     rng.gaussian((10, dim), std=1.0 / np.sqrt(dim))  # the item table
-    for k, gate in enumerate(("r", "z", "n")):
+    for k in range(3):  # the r, z and n gates
         wi, wh = rng.gaussian((dim, dim), std=std), rng.gaussian((dim, dim), std=std)
-        assert params[f"gru.wi_{gate}"].data.tobytes() == wi.tobytes()
+        assert params["gru.wi"].data[:, k * dim:(k + 1) * dim].tobytes() == wi.tobytes()
         assert params["gru.wh"].data[:, k * dim:(k + 1) * dim].tobytes() == wh.tobytes()
     assert np.array_equal(params["gru.bh"].data, np.zeros(3 * dim))
-    assert list(params) == [
-        "item_emb", "gru.bh", "gru.bi_n", "gru.bi_r", "gru.bi_z",
-        "gru.wh", "gru.wi_n", "gru.wi_r", "gru.wi_z"]
+    assert np.array_equal(params["gru.bi"].data, np.zeros(3 * dim))
+    assert list(params) == ["item_emb", "gru.bh", "gru.bi", "gru.wh", "gru.wi"]
 
 
 def test_transformer_init_draws_the_tables_then_each_blocks_matrices_in_order():

@@ -283,6 +283,18 @@ def test_per_gate_gru_checkpoint_is_refused():
         model_from_checkpoint(ckpt)
 
 
+def test_per_gate_input_gru_checkpoint_is_refused():
+    # earlier builds stored one input matrix and bias per gate
+    ckpt = _small_checkpoint(approximator="gru")
+    dim = ckpt.config.dim
+    wi, bi = ckpt.tensors.pop("gru.wi"), ckpt.tensors.pop("gru.bi")
+    for k, gate in enumerate(("r", "z", "n")):
+        ckpt.tensors[f"gru.wi_{gate}"] = wi[:, k * dim:(k + 1) * dim].copy()
+        ckpt.tensors[f"gru.bi_{gate}"] = bi[k * dim:(k + 1) * dim].copy()
+    with pytest.raises(CheckpointShapeError, match="missing tensor 'gru.bi'"):
+        model_from_checkpoint(ckpt)
+
+
 @pytest.mark.parametrize("approximator,blocks", [("transformer", 0), ("transformer", 2),
                                                   ("gru", 1)])
 def test_param_shapes_are_the_shapes_init_params_builds(approximator, blocks):

@@ -82,24 +82,26 @@ def test_layer_norm_shape_check():
 
 
 def test_cross_entropy_uniform_logits():
-    loss = cross_entropy_rows(Tensor(np.zeros((1, 100))), np.array([7]))
+    # column 0 is the padding slot, outside the denominator
+    loss = cross_entropy_rows(Tensor(np.zeros((1, 101))), np.array([7]))
     assert loss.item() == pytest.approx(math.log(100), abs=1e-12)
 
 
 def test_cross_entropy_hand_case():
-    loss = cross_entropy_rows(Tensor([[10.0, 0.0]]), np.array([0]))
+    loss = cross_entropy_rows(Tensor([[99.0, 10.0, 0.0]]), np.array([1]))
     assert loss.item() == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-12)
 
 
 def test_cross_entropy_target_out_of_range():
-    with pytest.raises(ValueError):
-        cross_entropy_rows(Tensor([[1.0, 2.0, 3.0]]), np.array([5]))
+    for target in (5, 0, -1):  # column 0 is the padding slot, never a target
+        with pytest.raises(ValueError, match=r"out of range \[1, 3\)"):
+            cross_entropy_rows(Tensor([[1.0, 2.0, 3.0]]), np.array([target]))
 
 
 def test_cross_entropy_rows_ignored_column_gets_no_probability():
     logits = Tensor(np.array([[5.0, 1.0, 2.0], [9.0, 3.0, 3.0]]), requires_grad=True)
     with Tape() as tape:
-        loss = cross_entropy_rows(logits, np.array([1, 2]), ignore_col=0)
+        loss = cross_entropy_rows(logits, np.array([1, 2]))
         backward(tape, loss)
     assert np.all(logits.grad[:, 0] == 0.0)
     expected = np.mean([math.log(1 + math.e), math.log(2)])
@@ -421,10 +423,10 @@ def test_cross_entropy_rows_gradient_matches_finite_differences():
     targets = np.array([2, 1, 6])
 
     def forward():
-        return cross_entropy_rows(logits, targets, ignore_col=0).item()
+        return cross_entropy_rows(logits, targets).item()
 
     with Tape() as tape:
-        backward(tape, cross_entropy_rows(logits, targets, ignore_col=0))
+        backward(tape, cross_entropy_rows(logits, targets))
     numeric = finite_diff_grad(forward, logits)
     assert max_rel_error(logits.grad, numeric) < 1e-7
 
