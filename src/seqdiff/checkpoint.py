@@ -1,11 +1,11 @@
 """Versioned binary checkpoints.
 
 Layout: 8-byte magic, uint32 format version, uint32 metadata length, a JSON
-metadata block (config snapshot, vocabulary size, epoch reached), uint32
-tensor count, then one record per tensor: uint32 name length, utf-8 name,
-uint32 rank, uint64 dims, and the row-major little-endian float64 payload.
-The records are the model's parameters by name, in `model.param_shapes`
-order. Round trips are bit-exact.
+metadata block (config snapshot, vocabulary size, epoch reached, and the
+tensor listing `[[name, [dims...]], ...]`), then each listed tensor's
+row-major little-endian float64 payload, back to back. The listing must be
+`model.param_shapes` of the metadata's config and vocabulary size, in that
+order; loading checks it before it reads any value. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -23,10 +24,7 @@ from .model import Approximator, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"SEQDIF01"
-FORMAT_VERSION = 1
-
-_MAX_RANK = 8
-_MAX_DIM = 1 << 40
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -34,7 +32,7 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Magic bytes, container structure or tensor values are wrong."""
+    """Magic bytes, metadata or tensor values are wrong."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -42,11 +40,11 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointTruncatedError(CheckpointError):
-    """File ends before a declared record is complete."""
+    """File ends before a listed payload is complete."""
 
 
 class CheckpointShapeError(CheckpointError):
-    """A tensor record declares an inconsistent shape table."""
+    """The tensor listing differs from the one the metadata implies."""
 
 
 @dataclass
@@ -58,46 +56,19 @@ class ModelCheckpoint:
 
 
 def model_from_checkpoint(ckpt: ModelCheckpoint) -> Approximator:
-    """Rebuild an Approximator whose parameters are copies of the checkpoint tensors.
-
-    The stored names and shapes must be those the metadata implies; they are
-    checked before any parameter is allocated, so metadata that disagrees
-    with the tensors costs no memory. Loading draws no random numbers.
-    """
-    shapes = param_shapes(ckpt.vocab_size, ckpt.config)
-    for name, shape in shapes.items():
-        if name not in ckpt.tensors:
-            raise CheckpointShapeError(f"checkpoint is missing tensor {name!r}")
-        stored = ckpt.tensors[name]
-        if stored.shape != shape:
-            raise CheckpointShapeError(
-                f"tensor {name!r} has shape {stored.shape}, expected {shape}")
-    extra = next((name for name in ckpt.tensors if name not in shapes), None)
-    if extra is not None:
-        raise CheckpointShapeError(f"checkpoint holds tensor {extra!r}, which its metadata "
-                                   "does not imply")
-    return Approximator({name: Tensor(ckpt.tensors[name].copy(), requires_grad=True)
-                         for name in shapes}, ckpt.config)
+    """An Approximator holding copies of the tensors, which `load_checkpoint`
+    checked against the metadata; it draws no random numbers."""
+    return Approximator({name: Tensor(arr.copy(), requires_grad=True)
+                         for name, arr in ckpt.tensors.items()}, ckpt.config)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
-    meta = json.dumps({
-        "config": asdict(ckpt.config),
-        "vocab_size": ckpt.vocab_size,
-        "epoch": ckpt.epoch,
-    }).encode()
+    listing = [[name, list(arr.shape)] for name, arr in ckpt.tensors.items()]
+    meta = json.dumps({"config": asdict(ckpt.config), "vocab_size": ckpt.vocab_size,
+                       "epoch": ckpt.epoch, "tensors": listing}).encode()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<I", len(ckpt.tensors)))
-        for name, arr in ckpt.tensors.items():
-            encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta)) + meta)
+        for arr in ckpt.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -110,6 +81,20 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _check_listing(listing, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Refuse a tensor listing other than `shapes`, naming its first difference."""
+    if type(listing) is not list or not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is list
+            and all(type(d) is int for d in e[1]) for e in listing):
+        raise CheckpointShapeError("metadata field 'tensors' is not a list of [name, dims] pairs")
+    implied = [[name, list(shape)] for name, shape in shapes.items()]
+    for i, (listed, want) in enumerate(zip_longest(listing, implied)):
+        if listed != want:  # None past the end of the shorter list
+            raise CheckpointShapeError(
+                f"tensor {i} is listed as {json.dumps(listed)} where the metadata implies "
+                f"{json.dumps(want)} ({len(listing)} listed, {len(implied)} implied)")
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -120,38 +105,28 @@ def load_checkpoint(path) -> ModelCheckpoint:
             raise CheckpointVersionError(
                 f"format version {version}, this build reads {FORMAT_VERSION}")
         meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
-        try:
+        try:  # bad UTF-8, deep nesting and long ints raise too; cut a long int's sys.* advice
             meta = json.loads(_read_exact(fh, meta_len, "metadata block"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(f"metadata is not valid JSON: {exc}") from None
-        n_tensors = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))[0]
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointFormatError(
+                f"checkpoint metadata does not parse: {str(exc).split(';')[0]}") from None
+        try:
+            cfg = config_from_dict(meta["config"])
+            vocab_size, epoch, listing = meta["vocab_size"], meta["epoch"], meta["tensors"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointFormatError(f"metadata missing field: {exc}") from None
+        for field, value, least in (("vocab_size", vocab_size, 1), ("epoch", epoch, 0)):
+            if type(value) is not int or value < least:  # a JSON bool, float or string is not one
+                raise CheckpointFormatError(
+                    f"metadata field {field!r} must be an integer >= {least}, got {value!r}")
+        shapes = param_shapes(vocab_size, cfg)
+        _check_listing(listing, shapes)
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            name_len = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))[0]
-            name = _read_exact(fh, name_len, "tensor name").decode()
-            rank = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name!r}"))[0]
-            if rank > _MAX_RANK:
-                raise CheckpointShapeError(f"tensor {name!r} declares rank {rank}")
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, f"dims of {name!r}"))
-            if any(d == 0 or d > _MAX_DIM for d in dims):
-                raise CheckpointShapeError(f"tensor {name!r} declares dims {dims}")
-            if name in tensors:
-                raise CheckpointShapeError(f"duplicate tensor name {name!r}")
-            count = math.prod(dims)
-            payload = _read_exact(fh, 8 * count, f"data of {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        for name, shape in shapes.items():
+            payload = _read_exact(fh, 8 * math.prod(shape), f"data of {name!r}")
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             if not np.all(np.isfinite(tensors[name])):
                 raise CheckpointFormatError(f"tensor {name!r} holds non-finite values")
         if fh.read(1):
             raise CheckpointFormatError("trailing bytes after the last tensor")
-    try:
-        cfg = config_from_dict(meta["config"])
-        vocab_size, epoch = meta["vocab_size"], meta["epoch"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"metadata missing field: {exc}") from None
-    for field, value, least in (("vocab_size", vocab_size, 1), ("epoch", epoch, 0)):
-        if type(value) is not int or value < least:  # a JSON bool, float or string is not one
-            raise CheckpointFormatError(
-                f"metadata field {field!r} must be an integer >= {least}, got {value!r}")
-    return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch,
-                           tensors=tensors)
+    return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch, tensors=tensors)

@@ -173,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("schedule-dump", help="write a schedule/posterior CSV")
-    p.add_argument("--kind", default="truncated-linear")
-    p.add_argument("--t", type=int, default=32)
-    p.add_argument("--a", type=float, default=0.2)
-    p.add_argument("--b", type=float, default=0.008)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--kind", default=TrainConfig.schedule_kind)
+    p.add_argument("--t", type=int, default=TrainConfig.t)
+    p.add_argument("--a", type=float, default=TrainConfig.schedule_a)
+    p.add_argument("--b", type=float, default=TrainConfig.schedule_b)
+    p.add_argument("--tau", type=float, default=TrainConfig.schedule_tau)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_schedule_dump)
 

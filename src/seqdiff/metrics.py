@@ -23,7 +23,6 @@ class EvalReport:
     hr: dict[int, float]
     ndcg: dict[int, float]
     n_evaluated: int
-    seconds: float = 0.0
     label: str = "all"
 
     @property
@@ -31,8 +30,7 @@ class EvalReport:
         return self.n_evaluated == 0
 
 
-def report_from_ranks(ranks, ks=DEFAULT_KS, seconds: float = 0.0,
-                      label: str = "all") -> EvalReport:
+def report_from_ranks(ranks, ks=DEFAULT_KS, label: str = "all") -> EvalReport:
     """Aggregate per-target ranks into mean HR@K / NDCG@K."""
     ks = tuple(ks)
     hr = {k: 0.0 for k in ks}
@@ -48,7 +46,7 @@ def report_from_ranks(ranks, ks=DEFAULT_KS, seconds: float = 0.0,
         for k in ks:
             hr[k] /= n
             ndcg[k] /= n
-    return EvalReport(hr=hr, ndcg=ndcg, n_evaluated=n, seconds=seconds, label=label)
+    return EvalReport(hr=hr, ndcg=ndcg, n_evaluated=n, label=label)
 
 
 def report_csv_rows(reports: list[EvalReport]) -> list[str]:

@@ -85,7 +85,7 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
 
 def param_shapes(vocab_size: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in the order of the parameter table
-    and of the checkpoint records, without allocating any of them.
+    and of the checkpoint listing, without allocating any of them.
 
     The transformer has the item and positional tables, then per block the
     attention and feed-forward weights. The GRU has the item table, then its

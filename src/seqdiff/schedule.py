@@ -11,7 +11,7 @@ Four families are supported:
 
 * truncated-linear: beta_s = (a/t)*s + b/s, and any raw value above the
   threshold tau is replaced by one tenth of itself. Only this family reads
-  a, b and tau; the others reject them away from their defaults.
+  a, b and tau; the others reject them away from `TrainConfig`'s defaults.
 * linear: endpoints 1e-4..0.02 rescaled by 1000/t so short horizons still
   reach heavy noise.
 * cosine: alpha_bar(u) = cos^2(((u + 0.008)/1.008) * pi/2) ratios, capped
@@ -22,13 +22,12 @@ Four families are supported:
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_T_LIMIT
+from .config import MAX_T_LIMIT, TrainConfig
 
 KINDS = ("truncated-linear", "linear", "cosine", "sqrt")
 
@@ -78,18 +77,18 @@ def _betas_from_alpha_bar_fn(fn, t: int) -> np.ndarray:
     return betas
 
 
-def build_schedule(kind: str, t: int, a: float = 0.2, b: float = 0.008,
-                   tau: float = 1.0) -> NoiseSchedule:
+def build_schedule(kind: str, t: int, a: float = TrainConfig.schedule_a,
+                   b: float = TrainConfig.schedule_b,
+                   tau: float = TrainConfig.schedule_tau) -> NoiseSchedule:
     """Construct and validate a schedule of the given family and horizon."""
     if not 1 <= t <= MAX_T_LIMIT:
         raise ValueError(f"horizon must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {t}")
     if kind not in KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
-    defaults = inspect.signature(build_schedule).parameters
     for name, value in (("a", a), ("b", b), ("tau", tau)):
         if not math.isfinite(value):
             raise ValueError(f"schedule option {name}={value!r} must be finite")
-        if kind != "truncated-linear" and value != defaults[name].default:
+        if kind != "truncated-linear" and value != getattr(TrainConfig, f"schedule_{name}"):
             raise ValueError(f"schedule option {name}={value!r} applies only to "
                              f"truncated-linear, not {kind}")
     if kind == "truncated-linear":

@@ -103,7 +103,6 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
         epochs_run = epoch
         order = train_rng.permutation(n)
         loss_sum = 0.0
-        seen = 0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             hist, mask, targets = _assemble(splits.train, idx, cfg.max_len)
@@ -113,8 +112,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
                     f"training diverged: loss={entry.loss} at epoch {epoch} batch {bi}")
             step_logs.append(entry)
             loss_sum += entry.loss * len(idx)
-            seen += len(idx)
-        epoch_losses.append(loss_sum / seen)
+        epoch_losses.append(loss_sum / n)
         if log_fn:
             log_fn(f"epoch {epoch}: mean loss {epoch_losses[-1]:.4f}")
         if splits.valid and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:

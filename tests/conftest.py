@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -36,6 +38,21 @@ def format_config(cfg: TrainConfig) -> str:
             value = "true" if value else "false"
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
+
+
+def replace_metadata(ckpt_bytes: bytes, encoded: bytes) -> bytes:
+    """Checkpoint bytes with the metadata block (after the 8-byte magic, u32
+    version and u32 length) replaced by `encoded`; the payloads are left as they are."""
+    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
+    return ckpt_bytes[:12] + struct.pack("<I", len(encoded)) + encoded + ckpt_bytes[16 + meta_len:]
+
+
+def with_metadata(ckpt_bytes: bytes, edit) -> bytes:
+    """Checkpoint bytes with `edit(meta)` applied to the parsed JSON metadata."""
+    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
+    meta = json.loads(ckpt_bytes[16:16 + meta_len])
+    edit(meta)
+    return replace_metadata(ckpt_bytes, json.dumps(meta).encode())
 
 
 def finite_diff_grad(loss_fn, tensor, h=1e-5):

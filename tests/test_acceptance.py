@@ -145,6 +145,7 @@ def test_criterion_03_posterior_degeneracy():
 
 def test_criterion_04_learnability_on_cyclic_data(cyclic_run):
     dataset, result, train_seconds = cyclic_run
+    start = time.perf_counter()
     model = model_from_checkpoint(result.checkpoint)
     scorer = DiffusionScorer(model, result.checkpoint.config.t)
     report = evaluate(scorer, split(dataset).test, EVAL_SEED, ks=(1, 5, 10, 20))
@@ -154,7 +155,7 @@ def test_criterion_04_learnability_on_cyclic_data(cyclic_run):
         (f"test HR@1 {report.hr[1]:.3f} >= 0.8", report.hr[1] >= 0.8),
         (f"test HR@5 {report.hr[5]:.3f} >= 0.95", report.hr[5] >= 0.95),
         (f"final/first epoch loss {ratio:.3f} < 0.25", ratio < 0.25),
-    ], train_seconds + report.seconds, 900)
+    ], train_seconds + (time.perf_counter() - start), 900)
 
 
 def test_criterion_05_relative_ordering_on_markov_data(markov_run):

@@ -4,13 +4,18 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from seqdiff.checkpoint import (MAGIC, CheckpointTruncatedError, load_checkpoint,
+                                save_checkpoint)
 from seqdiff.cli import main
-from seqdiff.checkpoint import CheckpointTruncatedError, load_checkpoint, save_checkpoint
-from conftest import desk_config, format_config
+from seqdiff.config import TrainConfig
+from seqdiff.model import param_shapes
+from seqdiff.schedule import build_schedule, dump_schedule_csv
+from conftest import desk_config, format_config, replace_metadata, with_metadata
 
 
 @pytest.fixture
@@ -77,6 +82,14 @@ def test_schedule_dump_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "s,beta,alpha,alpha_bar,coef_x0,coef_xs,beta_tilde"
     assert len(lines) == 33
+
+
+def test_schedule_dump_defaults_are_the_configs(tmp_path):
+    cfg = TrainConfig()
+    assert main(["schedule-dump", "--out", str(tmp_path / "dumped.csv")]) == 0
+    dump_schedule_csv(build_schedule(cfg.schedule_kind, cfg.t, cfg.schedule_a, cfg.schedule_b,
+                                     cfg.schedule_tau), tmp_path / "config.csv")
+    assert (tmp_path / "dumped.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
 
 
 def test_train_and_infer_round_trip(trained_ckpt, capsys):
@@ -169,19 +182,21 @@ def test_out_of_range_history_item_is_one_line_and_exit_2(tmp_path, trained_ckpt
     assert captured.err.count("\n") == 1 and "999" in captured.err
 
 
-def _with_metadata(ckpt_bytes: bytes, edit) -> bytes:
-    """Checkpoint bytes with `edit(meta)` applied to the JSON metadata block
-    (after the 8-byte magic, u32 version and u32 length); the tensor records
-    are left as they are."""
-    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
-    meta = json.loads(ckpt_bytes[16:16 + meta_len])
-    edit(meta)
-    encoded = json.dumps(meta).encode()
-    return ckpt_bytes[:12] + struct.pack("<I", len(encoded)) + encoded + ckpt_bytes[16 + meta_len:]
-
-
 def _with_config_metadata(ckpt_bytes: bytes, **changes) -> bytes:
-    return _with_metadata(ckpt_bytes, lambda meta: meta["config"].update(changes))
+    return with_metadata(ckpt_bytes, lambda meta: meta["config"].update(changes))
+
+
+def _as_format_1(ckpt_path) -> bytes:
+    """The checkpoint as format 1 wrote it: no listing in the metadata, then a
+    tensor count and each tensor's name, rank and dims before its payload."""
+    ckpt = load_checkpoint(ckpt_path)
+    meta = json.dumps({"config": dataclasses.asdict(ckpt.config),
+                       "vocab_size": ckpt.vocab_size, "epoch": ckpt.epoch}).encode()
+    out = MAGIC + struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", len(ckpt.tensors))
+    for name, arr in ckpt.tensors.items():
+        out += struct.pack(f"<I{len(name)}sI{arr.ndim}Q", len(name), name.encode(), arr.ndim,
+                           *arr.shape) + arr.astype("<f8").tobytes()
+    return out
 
 
 _BAD_CONFIGS = {"train-heads-0": "heads = 0\n",
@@ -196,6 +211,14 @@ _EXPECTED_ERRORS = {
     "train-params-over-ceiling": "(config.MAX_PARAMS)",
     "config-float-dim": "config line 1: cannot parse int dim = '8.0'",
     "config-bad-float": "config line 2: cannot parse float learning_rate = 'fast'",
+    "truncated-ckpt": "file ends inside data of 'block0.ln2_b'",
+    "nan-ckpt": "tensor 'item_emb' holds non-finite values",
+    "ckpt-format-1": "seqdiff infer: format version 1, this build reads 2\n",
+    "ckpt-tensors-not-a-list": "metadata field 'tensors' is not a list of [name, dims] pairs",
+    "ckpt-no-tensors": "metadata missing field: 'tensors'",
+    "ckpt-wrong-dim": ('tensor 0 is listed as ["item_emb", [17, 16]] where the metadata '
+                       'implies ["item_emb", [16, 16]] (14 listed, 14 implied)\n'),
+    "ckpt-trailing-bytes": "trailing bytes after the last tensor",
     "ckpt-blocks-10000000": "blocks must be in [0, 100] (config.MAX_BLOCKS_LIMIT), got 10000000",
     "probe-topk-over-catalogue": "top-k 16 exceeds the catalogue's 15 items",
     "probe-n-over-ceiling": "at most 100000 reversals (evaluate.MAX_REVERSALS), got 100000000",
@@ -214,7 +237,9 @@ _EXPECTED_ERRORS = {
                                    "config-bad-float", "ckpt-blocks-10000000",
                                    "probe-topk-over-catalogue", "probe-n-over-ceiling",
                                    "out-train-missing-dir", "out-eval-missing-dir",
-                                   "out-probe-is-dir"])
+                                   "out-probe-is-dir", "ckpt-format-1",
+                                   "ckpt-tensors-not-a-list", "ckpt-no-tensors", "ckpt-wrong-dim",
+                                   "ckpt-trailing-bytes"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -232,6 +257,19 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
     elif fault == "ckpt-blocks-10000000":
         ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(),
                                                     blocks=10_000_000))
+    elif fault == "ckpt-format-1":
+        ckpt_path.write_bytes(_as_format_1(trained_ckpt))
+    elif fault == "ckpt-tensors-not-a-list":
+        ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(),
+                                            lambda meta: meta.update(tensors={"item_emb": [16, 16]})))
+    elif fault == "ckpt-no-tensors":
+        ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(),
+                                            lambda meta: meta.pop("tensors")))
+    elif fault == "ckpt-wrong-dim":
+        ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(),
+                                            lambda meta: meta["tensors"][0][1].__setitem__(0, 17)))
+    elif fault == "ckpt-trailing-bytes":
+        ckpt_path.write_bytes(trained_ckpt.read_bytes() + b"\0")
     elif fault != "missing-ckpt":
         ckpt_path = trained_ckpt
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
@@ -323,8 +361,8 @@ def test_integer_inputs_at_their_edges_are_one_line_and_exit_0_or_2(tmp_path, sy
 def test_checkpoint_metadata_that_is_not_a_count_is_one_line_and_exit_2(
         tmp_path, trained_ckpt, field, value, capsys):
     ckpt_path = tmp_path / "bad.ckpt"
-    ckpt_path.write_bytes(_with_metadata(trained_ckpt.read_bytes(),
-                                         lambda meta: meta.update({field: value})))
+    ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(),
+                                        lambda meta: meta.update({field: value})))
     capsys.readouterr()
     assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
     captured = capsys.readouterr()
@@ -333,23 +371,50 @@ def test_checkpoint_metadata_that_is_not_a_count_is_one_line_and_exit_2(
     assert captured.err.startswith(f"seqdiff infer: metadata field '{field}' must be an integer")
 
 
-@pytest.mark.parametrize("dims", [(2**33,), (2**40, 2**40)], ids=["2^33", "2^40x2^40"])
+@pytest.mark.parametrize("vocab_size,dim", [(2**33, 16), (2**40, 2**40)],
+                         ids=["2^33", "2^40x2^40"])
 def test_a_tensor_longer_than_its_checkpoint_file_is_one_line_and_exit_2(
-        tmp_path, trained_ckpt, dims, capsys):
-    # the trained checkpoint's header and metadata, then one record that
-    # declares `dims` and ends before its payload
-    raw = trained_ckpt.read_bytes()
-    (meta_len,) = struct.unpack("<I", raw[12:16])
-    record = struct.pack(f"<II8sI{len(dims)}Q", 1, 8, b"item_emb", len(dims), *dims)
+        tmp_path, trained_ckpt, vocab_size, dim, capsys):
+    # metadata whose listing matches its config and vocabulary, over the
+    # trained checkpoint's few kilobytes of payload: the item table it
+    # implies is refused before it is read, so loading costs no memory
+    def claim(meta):
+        meta["config"]["dim"] = dim
+        meta.update(vocab_size=vocab_size, tensors=[
+            [name, list(shape)] for name, shape in
+            param_shapes(vocab_size, TrainConfig(**meta["config"])).items()])
+
     ckpt_path = tmp_path / "bad.ckpt"
-    ckpt_path.write_bytes(raw[:16 + meta_len] + record)
-    with pytest.raises(CheckpointTruncatedError, match="data of 'item_emb'"):
-        load_checkpoint(ckpt_path)
+    ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(), claim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointTruncatedError, match="data of 'item_emb'"):
+            load_checkpoint(ckpt_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
     capsys.readouterr()
     assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "seqdiff infer: file ends inside data of 'item_emb'\n"
+
+
+@pytest.mark.parametrize("metadata", [b"[" * 200_000, b'{"vocab_size": ' + b"7" * 5000 + b"}",
+                                      b'{"config": "\xff"}'],
+                         ids=["nested-200000", "5000-digit-int", "invalid-utf-8"])
+def test_metadata_that_does_not_parse_is_one_line_and_exit_2(tmp_path, trained_ckpt,
+                                                             metadata, capsys):
+    ckpt_path = tmp_path / "bad.ckpt"
+    ckpt_path.write_bytes(replace_metadata(trained_ckpt.read_bytes(), metadata))
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("seqdiff infer: checkpoint metadata does not parse: ")
+    assert "sys." not in captured.err
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "probe"])

@@ -131,7 +131,7 @@ def test_validate_caps_max_len_and_names_the_ceiling():
 
 def test_validate_caps_blocks_and_names_the_ceiling():
     # the parameter table holds 12 entries per block, built before the
-    # parameter ceiling or a checkpoint's records can refuse the model
+    # parameter ceiling or a checkpoint's listing can refuse the model
     assert TrainConfig(blocks=MAX_BLOCKS_LIMIT).validate().blocks == MAX_BLOCKS_LIMIT
     with pytest.raises(ValueError, match=re.escape(
             f"blocks must be in [0, {MAX_BLOCKS_LIMIT}] (config.MAX_BLOCKS_LIMIT), "

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import seqdiff
-from conftest import desk_config
+from conftest import desk_config, with_metadata
 from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
                                 CheckpointTruncatedError,
                                 CheckpointVersionError, ModelCheckpoint,
@@ -156,6 +157,12 @@ def _small_checkpoint(**overrides):
     return ModelCheckpoint(config=cfg, vocab_size=7, epoch=3, tensors=tensors)
 
 
+def _saved(ckpt: ModelCheckpoint, tmp_path) -> Path:
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    return path
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     ckpt = _small_checkpoint()
     path = tmp_path / "model.ckpt"
@@ -199,21 +206,32 @@ def test_checkpoint_truncation_names_tensor(tmp_path):
 
 
 def test_checkpoint_shape_table_inconsistency(tmp_path):
-    path = tmp_path / "model.ckpt"
-    ckpt = _small_checkpoint()
-    save_checkpoint(ckpt, path)
-    raw = bytearray(path.read_bytes())
-    # corrupt the first tensor's rank field: it sits right after the tensor
-    # count and the name record
-    base = len(b"SEQDIF01") + 4
-    meta_len = int.from_bytes(raw[base : base + 4], "little")
-    pos = base + 4 + meta_len + 4
-    name_len = int.from_bytes(raw[pos : pos + 4], "little")
-    rank_pos = pos + 4 + name_len
-    raw[rank_pos : rank_pos + 4] = (500).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointShapeError):
+    # one wrong dim in the listing: the first entry that differs is named
+    path = _saved(_small_checkpoint(), tmp_path)
+    path.write_bytes(with_metadata(path.read_bytes(),
+                                   lambda meta: meta["tensors"][0][1].__setitem__(0, 9)))
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["item_emb", '
+                       r'\[9, 16\]\] where the metadata implies \["item_emb", \[8, 16\]\]'):
         load_checkpoint(path)
+
+
+def test_a_listing_mismatch_is_refused_before_any_payload_is_read(tmp_path):
+    # header and metadata alone: a loader that read a payload first would
+    # report the file as truncated
+    ckpt = _small_checkpoint()
+    ckpt.tensors["item_emb"] = ckpt.tensors["item_emb"][:5]
+    raw = _saved(ckpt, tmp_path).read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[12:16])
+    (tmp_path / "model.ckpt").write_bytes(raw[:16 + meta_len])
+    with pytest.raises(CheckpointShapeError, match=r"\[5, 16\]"):
+        load_checkpoint(tmp_path / "model.ckpt")
+
+
+def test_loading_enforces_the_parameter_table_order(tmp_path):
+    ckpt = _small_checkpoint()
+    ckpt.tensors = dict(reversed(ckpt.tensors.items()))
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["block0.ln2_b"'):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
@@ -256,43 +274,56 @@ def test_loading_a_checkpoint_draws_nothing_and_copies_its_tensors(approximator,
         assert not np.shares_memory(tensor.data, ckpt.tensors[name]), name
 
 
-def test_model_from_checkpoint_rejects_missing_tensor():
+def test_model_from_checkpoint_rejects_missing_tensor(tmp_path):
+    # the file is refused as it loads, so no model is ever built from it
     ckpt = _small_checkpoint()
     del ckpt.tensors["item_emb"]
-    with pytest.raises(CheckpointShapeError):
-        model_from_checkpoint(ckpt)
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["pos_emb", '
+                       r'\[10, 16\]\] where the metadata implies \["item_emb", \[8, 16\]\] '
+                       r'\(13 listed, 14 implied\)$'):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
-def test_model_from_checkpoint_rejects_a_tensor_the_metadata_does_not_imply():
+def test_model_from_checkpoint_rejects_a_tensor_the_metadata_does_not_imply(tmp_path):
     # a 2-block checkpoint whose metadata claims 1 block loaded its first block alone
     ckpt = _small_checkpoint(blocks=2)
     ckpt.config = dataclasses.replace(ckpt.config, blocks=1)
-    with pytest.raises(CheckpointShapeError, match="holds tensor 'block1.wq'"):
-        model_from_checkpoint(ckpt)
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 14 is listed as \["block1.wq", '
+                       r'\[16, 16\]\] where the metadata implies null \(26 listed, 14 implied\)$'):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
-def test_per_gate_gru_checkpoint_is_refused():
+def _per_gate(tensors: dict, side: str, dim: int) -> dict:
+    """`tensors` with gru.w{side} and gru.b{side} split into one matrix and
+    bias per gate, listed where the joined bias was."""
+    out = {}
+    for name, arr in tensors.items():
+        if name == f"gru.b{side}":
+            w = tensors[f"gru.w{side}"]
+            for k, gate in enumerate(("r", "z", "n")):
+                out[f"gru.w{side}_{gate}"] = w[:, k * dim:(k + 1) * dim].copy()
+                out[f"gru.b{side}_{gate}"] = arr[k * dim:(k + 1) * dim].copy()
+        elif name != f"gru.w{side}":
+            out[name] = arr
+    return out
+
+
+def test_per_gate_gru_checkpoint_is_refused(tmp_path):
     # earlier builds stored one recurrent matrix and bias per gate
     ckpt = _small_checkpoint(approximator="gru")
-    cfg = ckpt.config
-    wh, bh = ckpt.tensors.pop("gru.wh"), ckpt.tensors.pop("gru.bh")
-    for k, gate in enumerate(("r", "z", "n")):
-        ckpt.tensors[f"gru.wh_{gate}"] = wh[:, k * cfg.dim:(k + 1) * cfg.dim].copy()
-        ckpt.tensors[f"gru.bh_{gate}"] = bh[k * cfg.dim:(k + 1) * cfg.dim].copy()
-    with pytest.raises(CheckpointShapeError, match="missing tensor 'gru.bh'"):
-        model_from_checkpoint(ckpt)
+    ckpt.tensors = _per_gate(ckpt.tensors, "h", ckpt.config.dim)
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 1 is listed as \["gru.wh_r", '
+                       r'\[16, 16\]\] where the metadata implies \["gru.bh", \[48\]\]'):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
-def test_per_gate_input_gru_checkpoint_is_refused():
+def test_per_gate_input_gru_checkpoint_is_refused(tmp_path):
     # earlier builds stored one input matrix and bias per gate
     ckpt = _small_checkpoint(approximator="gru")
-    dim = ckpt.config.dim
-    wi, bi = ckpt.tensors.pop("gru.wi"), ckpt.tensors.pop("gru.bi")
-    for k, gate in enumerate(("r", "z", "n")):
-        ckpt.tensors[f"gru.wi_{gate}"] = wi[:, k * dim:(k + 1) * dim].copy()
-        ckpt.tensors[f"gru.bi_{gate}"] = bi[k * dim:(k + 1) * dim].copy()
-    with pytest.raises(CheckpointShapeError, match="missing tensor 'gru.bi'"):
-        model_from_checkpoint(ckpt)
+    ckpt.tensors = _per_gate(ckpt.tensors, "i", ckpt.config.dim)
+    with pytest.raises(CheckpointShapeError, match=r'^tensor 2 is listed as \["gru.wi_r", '
+                       r'\[16, 16\]\] where the metadata implies \["gru.bi", \[48\]\]'):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
 @pytest.mark.parametrize("approximator,blocks", [("transformer", 0), ("transformer", 2),
@@ -303,15 +334,16 @@ def test_param_shapes_are_the_shapes_init_params_builds(approximator, blocks):
     assert list(param_shapes(7, cfg).items()) == built
 
 
-def test_checkpoint_metadata_is_checked_against_the_tensors_before_allocating():
+def test_checkpoint_metadata_is_checked_against_the_tensors_before_allocating(tmp_path):
     # metadata claiming 2,000,000 items over the stored 8-row item table:
-    # building the parameters first would draw a 256 MB random table
-    ckpt = _small_checkpoint()
-    ckpt.vocab_size = 2_000_000
+    # reading the table the metadata implies would take 256 MB
+    path = _saved(_small_checkpoint(), tmp_path)
+    path.write_bytes(with_metadata(path.read_bytes(),
+                                   lambda meta: meta.update(vocab_size=2_000_000)))
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointShapeError, match="item_emb"):
-            model_from_checkpoint(ckpt)
+            load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

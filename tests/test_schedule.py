@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from seqdiff.config import TrainConfig
 from seqdiff.schedule import (KINDS, ScheduleValidityError, alpha_bar,
                               build_schedule, dump_schedule_csv, posterior,
                               respace, schedule_from_betas)
@@ -197,6 +198,14 @@ def test_family_options_apply_only_to_truncated_linear(kind, option, value):
     with pytest.raises(ValueError, match=f"option {option}="):
         build_schedule(kind, t=32, **{option: value})
     build_schedule("truncated-linear", t=32, **{option: value})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_config_of_any_family_builds_with_its_default_options(kind):
+    cfg = TrainConfig(schedule_kind=kind)
+    sch = build_schedule(kind, cfg.t, cfg.schedule_a, cfg.schedule_b, cfg.schedule_tau)
+    assert sch.t == cfg.t
+    assert build_schedule(kind, cfg.t).betas.tobytes() == sch.betas.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
