@@ -17,17 +17,17 @@ from .metrics import EvalReport, metric_single
 from .model import Approximator, init_params, mix, step_embedding_batch
 from .optim import Adam
 from .rng import RngStream
-from .schedule import NoiseSchedule, alpha_bar, build_schedule, posterior
+from .schedule import NoiseSchedule, build_schedule, posterior
 from .tensor import Tape, Tensor, backward, set_default_dtype
-from .train import TrainResult, adversarial_train, loss_batch, run_training
+from .train import TrainResult, loss_batch, run_training
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "Approximator", "EvalReport", "ModelCheckpoint", "NoiseSchedule",
-    "PopularityScorer", "RngStream", "SequenceDataset", "Tape", "Tensor",
-    "TrainConfig", "TrainResult", "adversarial_train", "alpha_bar",
-    "backward", "build_schedule", "build_scorer", "embed_to_x0", "evaluate",
+    "Adam", "Approximator", "EvalReport", "ModelCheckpoint",
+    "NoiseSchedule", "PopularityScorer", "RngStream", "SequenceDataset",
+    "Tape", "Tensor", "TrainConfig", "TrainResult", "backward",
+    "build_schedule", "build_scorer", "embed_to_x0", "evaluate",
     "infer", "ingest", "init_params", "load_checkpoint", "load_config",
     "loss_batch", "metric_single", "mix", "parse_config", "posterior",
     "preprocess", "q_sample", "reverse_step", "run_training",

@@ -28,23 +28,7 @@ FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Magic bytes, metadata or tensor values are wrong."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """File was written by an unsupported format version."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """File ends before a listed payload is complete."""
-
-
-class CheckpointShapeError(CheckpointError):
-    """The tensor listing differs from the one the metadata implies."""
+    """A checkpoint file could not be loaded; the message names the fault."""
 
 
 @dataclass
@@ -77,7 +61,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     so a declared length costs no memory beyond the file's size."""
     buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(buf) != n:
-        raise CheckpointTruncatedError(f"file ends inside {what}")
+        raise CheckpointError(f"file ends inside {what}")
     return buf
 
 
@@ -86,11 +70,11 @@ def _check_listing(listing, shapes: dict[str, tuple[int, ...]]) -> None:
     if type(listing) is not list or not all(
             type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is list
             and all(type(d) is int for d in e[1]) for e in listing):
-        raise CheckpointShapeError("metadata field 'tensors' is not a list of [name, dims] pairs")
+        raise CheckpointError("metadata field 'tensors' is not a list of [name, dims] pairs")
     implied = [[name, list(shape)] for name, shape in shapes.items()]
     for i, (listed, want) in enumerate(zip_longest(listing, implied)):
         if listed != want:  # None past the end of the shorter list
-            raise CheckpointShapeError(
+            raise CheckpointError(
                 f"tensor {i} is listed as {json.dumps(listed)} where the metadata implies "
                 f"{json.dumps(want)} ({len(listing)} listed, {len(implied)} implied)")
 
@@ -99,25 +83,29 @@ def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise CheckpointFormatError(f"bad magic bytes {magic!r}")
+            raise CheckpointError(f"bad magic bytes {magic!r}")
         version = struct.unpack("<I", _read_exact(fh, 4, "version field"))[0]
         if version != FORMAT_VERSION:
-            raise CheckpointVersionError(
+            raise CheckpointError(
                 f"format version {version}, this build reads {FORMAT_VERSION}")
         meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
         try:  # bad UTF-8, deep nesting and long ints raise too; cut a long int's sys.* advice
             meta = json.loads(_read_exact(fh, meta_len, "metadata block"))
         except (ValueError, RecursionError) as exc:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"checkpoint metadata does not parse: {str(exc).split(';')[0]}") from None
+        if type(meta) is not dict:
+            raise CheckpointError("checkpoint metadata is not a JSON object")
         try:
+            if type(meta["config"]) is not dict:
+                raise CheckpointError("metadata field 'config' is not a JSON object")
             cfg = config_from_dict(meta["config"])
             vocab_size, epoch, listing = meta["vocab_size"], meta["epoch"], meta["tensors"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointFormatError(f"metadata missing field: {exc}") from None
+        except KeyError as exc:
+            raise CheckpointError(f"metadata missing field: {exc}") from None
         for field, value, least in (("vocab_size", vocab_size, 1), ("epoch", epoch, 0)):
             if type(value) is not int or value < least:  # a JSON bool, float or string is not one
-                raise CheckpointFormatError(
+                raise CheckpointError(
                     f"metadata field {field!r} must be an integer >= {least}, got {value!r}")
         shapes = param_shapes(vocab_size, cfg)
         _check_listing(listing, shapes)
@@ -126,7 +114,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
             payload = _read_exact(fh, 8 * math.prod(shape), f"data of {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             if not np.all(np.isfinite(tensors[name])):
-                raise CheckpointFormatError(f"tensor {name!r} holds non-finite values")
+                raise CheckpointError(f"tensor {name!r} holds non-finite values")
         if fh.read(1):
-            raise CheckpointFormatError("trailing bytes after the last tensor")
+            raise CheckpointError("trailing bytes after the last tensor")
     return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch, tensors=tensors)

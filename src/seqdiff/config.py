@@ -65,8 +65,14 @@ class TrainConfig:
             # a float dim would pass every range check; bool is a subclass of int
             if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
                 raise ValueError(f"{name} must be of type {kind}, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if kind == "float":  # stored as a float: numpy's ufuncs refuse an int past 2**64
+                try:
+                    setattr(self, name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{name} must be finite, got an integer past the "
+                                     f"float range") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.learning_rate <= 0:

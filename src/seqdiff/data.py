@@ -46,7 +46,6 @@ class SequenceDataset:
     """Per-user chronological item-index sequences with the vocabulary maps."""
 
     sequences: list[list[int]]
-    user_ids: list[str]
     item_ids: list[str]  # position v holds the original id of index v+1
     n_actions: int = 0  # surviving interactions before truncation
 
@@ -76,8 +75,6 @@ class DatasetSplits:
     train: list[Sample]
     valid: list[Sample]
     test: list[Sample]
-    n_excluded: int = 0
-    n_train_skipped: int = 0  # train prefixes too short to supervise
     train_freqs: np.ndarray = field(default=None, repr=False)
 
 
@@ -137,9 +134,9 @@ def preprocess(records: list[InteractionRecord], min_count: int = 5,
 
     item_index: dict[str, int] = {}
     item_ids: list[str] = []
-    sequences, user_ids = [], []
+    sequences = []
     n_actions = 0
-    for user, recs in by_user.items():
+    for recs in by_user.values():
         recs = sorted(recs, key=lambda r: r.timestamp)  # stable: ties keep file order
         n_actions += len(recs)
         recs = recs[-max_len:]
@@ -150,9 +147,7 @@ def preprocess(records: list[InteractionRecord], min_count: int = 5,
                 item_ids.append(r.item)
             seq.append(item_index[r.item])
         sequences.append(seq)
-        user_ids.append(user)
-    return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, n_actions=n_actions)
+    return SequenceDataset(sequences=sequences, item_ids=item_ids, n_actions=n_actions)
 
 
 def split(dataset: SequenceDataset) -> DatasetSplits:
@@ -160,11 +155,10 @@ def split(dataset: SequenceDataset) -> DatasetSplits:
 
     Training supervises only the final position of the prefix that excludes
     the validation and test targets, so it needs at least one history item
-    before that; shorter prefixes are counted but skipped.
+    before that; shorter prefixes are skipped.
     """
     train, valid, test = [], [], []
     n_excluded = 0
-    n_train_skipped = 0
     freqs = np.zeros(dataset.n_items + 1)
     for seq in dataset.sequences:
         if len(seq) < 3:
@@ -175,15 +169,11 @@ def split(dataset: SequenceDataset) -> DatasetSplits:
             freqs[item] += 1
         if len(prefix) >= 2:
             train.append(Sample(tuple(prefix[:-1]), prefix[-1]))
-        else:
-            n_train_skipped += 1
         valid.append(Sample(tuple(seq[:-2]), seq[-2]))
         test.append(Sample(tuple(seq[:-1]), seq[-1]))
     if n_excluded:
         warnings.warn(f"{n_excluded} sequences shorter than 3 excluded from splits")
-    return DatasetSplits(train=train, valid=valid, test=test,
-                         n_excluded=n_excluded, n_train_skipped=n_train_skipped,
-                         train_freqs=freqs)
+    return DatasetSplits(train=train, valid=valid, test=test, train_freqs=freqs)
 
 
 def synth(kind: str, n_users: int, n_items: int, seq_len: int,
@@ -222,11 +212,9 @@ def synth(kind: str, n_users: int, n_items: int, seq_len: int,
                 cur = pick + 1 if pick + 1 < dom else pick + 2
             seq.append(cur)
         sequences.append(seq)
-    user_ids = [f"u{i}" for i in range(n_users)]
     item_ids = [str(i) for i in range(1, n_items + 1)]
     n_actions = sum(len(s) for s in sequences)
-    return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, n_actions=n_actions)
+    return SequenceDataset(sequences=sequences, item_ids=item_ids, n_actions=n_actions)
 
 
 def save_processed(dataset: SequenceDataset, out_dir) -> None:
@@ -278,7 +266,5 @@ def load_processed(data_dir) -> SequenceDataset:
     for seq in sequences:
         if any(i < 1 or i > n_items for i in seq):
             raise DataFormatError(f"{seq_path}: item index outside [1, {n_items}]")
-    user_ids = [f"u{i}" for i in range(len(sequences))]
     n_actions = sum(len(s) for s in sequences)
-    return SequenceDataset(sequences=sequences, user_ids=user_ids,
-                           item_ids=item_ids, n_actions=n_actions)
+    return SequenceDataset(sequences=sequences, item_ids=item_ids, n_actions=n_actions)

@@ -142,15 +142,6 @@ def respace(schedule: NoiseSchedule, steps) -> NoiseSchedule:
     return schedule_from_betas(schedule.kind, 1.0 - ab / np.concatenate(([1.0], ab[:-1])))
 
 
-def alpha_bar(schedule: NoiseSchedule, s: int) -> float:
-    """Cumulative signal fraction after s steps; s=0 is the empty product 1."""
-    if not 0 <= s <= schedule.t:
-        raise ValueError(f"step {s} out of range [0, {schedule.t}]")
-    if s == 0:
-        return 1.0
-    return float(schedule.alpha_bars[s - 1])
-
-
 def posterior(schedule: NoiseSchedule, s: int) -> PosteriorCoeffs:
     """Row s of the schedule's one-step reverse posterior."""
     if not 1 <= s <= schedule.t:

@@ -36,8 +36,6 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class StepLog:
-    epoch: int
-    batch: int
     loss: float
     base_loss: float | None = None
     delta_norm: float | None = None
@@ -106,7 +104,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             hist, mask, targets = _assemble(splits.train, idx, cfg.max_len)
-            entry = batch_step(hist, mask, targets, epoch, bi)
+            entry = batch_step(hist, mask, targets)
             if not np.isfinite(entry.loss):
                 raise TrainingDivergedError(
                     f"training diverged: loss={entry.loss} at epoch {epoch} batch {bi}")
@@ -176,35 +174,16 @@ def keep_freed_memory() -> bool:
                 and libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
-def _setup(dataset: SequenceDataset, cfg: TrainConfig, mode: str):
-    """Checks shared by both modes, then the splits, a fresh model, its Adam,
-    and the training and validation streams, all derived from cfg.seed."""
-    cfg.validate()
-    keep_freed_memory()
-    if cfg.mode != mode:
-        raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
-    if not dataset.sequences:
-        raise ValueError("dataset is empty")
-    n_params = sum(math.prod(s) for s in param_shapes(dataset.n_items, cfg).values())
-    if n_params > MAX_PARAMS:
-        raise ValueError(f"the model would have {n_params:,} parameters, above "
-                         f"{MAX_PARAMS:,} (config.MAX_PARAMS)")
-    root = RngStream(cfg.seed)
-    model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
-    adam = Adam(list(model.params.values()), lr=cfg.learning_rate)
-    return split(dataset), model, adam, root.derive(1), root.derive(2)
-
-
-def train(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResult:
-    """Fit the diffusion recommender: per batch, sample a step, corrupt the
-    target embedding to that step, reconstruct it from the mixed history,
-    and minimize full-vocabulary cross entropy with Adam."""
-    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "diffusion")
+def _diffusion_step(model: Approximator, adam: Adam, cfg: TrainConfig,
+                    train_rng: RngStream):
+    """Per batch, sample a step, corrupt the target embedding to that step,
+    reconstruct it from the mixed history, and minimize full-vocabulary
+    cross entropy with Adam."""
     item_emb = model.params["item_emb"]
     scorer = DiffusionScorer(model)  # reads the live parameters at each validation
     schedule = scorer.schedule
 
-    def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
+    def batch_step(hist, mask, targets) -> StepLog:
         steps = sample_steps(cfg.t, len(targets), train_rng)
         with Tape() as tape:
             e_target = embedding_lookup(item_emb, targets)
@@ -219,14 +198,14 @@ def train(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResul
                 backward(tape, loss)
         adam.step()
         adam.zero_grad()
-        return StepLog(epoch=epoch, batch=bi, loss=loss_val)
+        return StepLog(loss=loss_val)
 
-    return _fit(splits, cfg, model, train_rng, val_rng, batch_step, scorer, log_fn)
+    return batch_step, scorer
 
 
-def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
-                      log_fn=None) -> TrainResult:
-    """Fit the plain next-item transformer with an adversarial regularizer.
+def _adversarial_step(model: Approximator, adam: Adam, cfg: TrainConfig,
+                      train_rng: RngStream):
+    """The plain next-item transformer with an adversarial regularizer.
 
     Total loss is L(params) + gamma * L(params with the item table shifted
     by Delta). After each optimizer step Delta moves to epsilon times the
@@ -234,11 +213,10 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
     a batch reuse the same dropout masks, so epsilon=0 makes the perturbed
     pass bit-identical to the base pass.
     """
-    splits, model, adam, train_rng, val_rng = _setup(dataset, cfg, "adversarial")
     item_emb = model.params["item_emb"]
     delta = np.zeros_like(item_emb.data)
 
-    def batch_step(hist, mask, targets, epoch, bi) -> StepLog:
+    def batch_step(hist, mask, targets) -> StepLog:
         nonlocal delta
         drop_seed = int(train_rng.integers(0, 2**62))
         with Tape() as tape:
@@ -264,16 +242,28 @@ def adversarial_train(dataset: SequenceDataset, cfg: TrainConfig,
             norm = float(np.linalg.norm(grad))
             if norm > 0:
                 delta = cfg.epsilon_adv * grad / norm
-        return StepLog(epoch=epoch, batch=bi, loss=total_val,
-                       base_loss=base_val,
+        return StepLog(loss=total_val, base_loss=base_val,
                        delta_norm=float(np.linalg.norm(delta)))
 
-    return _fit(splits, cfg, model, train_rng, val_rng, batch_step,
-                NextItemScorer(model), log_fn)
+    return batch_step, NextItemScorer(model)
 
 
 def run_training(dataset: SequenceDataset, cfg: TrainConfig, log_fn=None) -> TrainResult:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "adversarial":
-        return adversarial_train(dataset, cfg, log_fn)
-    return train(dataset, cfg, log_fn)
+    """Fit a fresh model with cfg.mode's objective: the diffusion loss, or the
+    adversarial baseline. The model, its Adam and the training and validation
+    streams all derive from cfg.seed."""
+    cfg.validate()
+    keep_freed_memory()
+    if not dataset.sequences:
+        raise ValueError("dataset is empty")
+    n_params = sum(math.prod(s) for s in param_shapes(dataset.n_items, cfg).values())
+    if n_params > MAX_PARAMS:
+        raise ValueError(f"the model would have {n_params:,} parameters, above "
+                         f"{MAX_PARAMS:,} (config.MAX_PARAMS)")
+    root = RngStream(cfg.seed)
+    model = Approximator(init_params(dataset.n_items, cfg, root.derive(0)), cfg)
+    adam = Adam(list(model.params.values()), lr=cfg.learning_rate)
+    splits, train_rng = split(dataset), root.derive(1)
+    build = _adversarial_step if cfg.mode == "adversarial" else _diffusion_step
+    batch_step, scorer = build(model, adam, cfg, train_rng)
+    return _fit(splits, cfg, model, train_rng, root.derive(2), batch_step, scorer, log_fn)

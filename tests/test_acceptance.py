@@ -22,9 +22,9 @@ from seqdiff.infer import DiffusionScorer, NextItemScorer
 from seqdiff.metrics import metric_single
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
-from seqdiff.schedule import KINDS, alpha_bar, build_schedule
+from seqdiff.schedule import KINDS, build_schedule
 from seqdiff.tensor import Tape, Tensor, backward, embedding_lookup
-from seqdiff.train import adversarial_train, loss_batch, train
+from seqdiff.train import loss_batch, run_training
 
 CYCLIC_DATA = dict(kind="cyclic", n_users=1000, n_items=50, seq_len=20, seed=7)
 MARKOV_DATA = dict(kind="markov", n_users=1000, n_items=200, seq_len=20, seed=11)
@@ -55,7 +55,7 @@ def _desk_train_config(seed):
 def cyclic_run():
     dataset = synth(**CYCLIC_DATA)
     start = time.perf_counter()
-    result = train(dataset, _desk_train_config(CYCLIC_TRAIN_SEED))
+    result = run_training(dataset, _desk_train_config(CYCLIC_TRAIN_SEED))
     return dataset, result, time.perf_counter() - start
 
 
@@ -63,7 +63,7 @@ def cyclic_run():
 def markov_run():
     dataset = synth(**MARKOV_DATA)
     start = time.perf_counter()
-    result = train(dataset, _desk_train_config(MARKOV_TRAIN_SEED))
+    result = run_training(dataset, _desk_train_config(MARKOV_TRAIN_SEED))
     return dataset, result, time.perf_counter() - start
 
 
@@ -226,7 +226,7 @@ def test_criterion_07_schedule_shapes():
                        bool(np.all((sch.betas > 0) & (sch.betas < 1)))))
         checks.append((f"{kind}: alpha_bar strictly decreasing",
                        bool(np.all(np.diff(bars) < 0))))
-    first = {kind: alpha_bar(sch, 1) for kind, sch in schedules.items()}
+    first = {kind: sch.alpha_bars[0] for kind, sch in schedules.items()}
     checks.append(("sqrt has the smallest alpha_bar_1",
                    min(first, key=first.get) == "sqrt"))
     bars = np.concatenate([[1.0], schedules["truncated-linear"].alpha_bars])
@@ -254,19 +254,19 @@ def test_criterion_09_adversarial_contract():
     dataset = synth("cyclic", 200, 30, 10, seed=3)
     base_cfg = desk_config(dim=16, blocks=1, heads=2, t=4, batch_size=64,
                            epochs=2, eval_every=0, mode="adversarial", seed=4)
-    zero_eps = adversarial_train(dataset, dataclasses.replace(
+    zero_eps = run_training(dataset, dataclasses.replace(
         base_cfg, epsilon_adv=0.0, gamma_adv=1.0))
     gamma = 1.0
     zero_ok = all(abs(e.loss - (1 + gamma) * e.base_loss) < 1e-10
                   for e in zero_eps.step_logs)
     zero_delta_ok = all(e.delta_norm == 0.0 for e in zero_eps.step_logs)
-    half_eps = adversarial_train(dataset, dataclasses.replace(
+    half_eps = run_training(dataset, dataclasses.replace(
         base_cfg, epsilon_adv=0.5, gamma_adv=1.0))
     norm_ok = all(abs(e.delta_norm - 0.5) < 1e-10 for e in half_eps.step_logs)
     cyclic = synth(**CYCLIC_DATA)
     desk_cfg = dataclasses.replace(_desk_train_config(CYCLIC_TRAIN_SEED + 100),
                                    mode="adversarial")
-    desk = adversarial_train(cyclic, desk_cfg)
+    desk = run_training(cyclic, desk_cfg)
     desk_model = model_from_checkpoint(desk.checkpoint)
     desk_rep = evaluate(NextItemScorer(desk_model), split(cyclic).test,
                         EVAL_SEED, ks=(1,))
@@ -304,7 +304,7 @@ def test_criterion_11_determinism(cyclic_run, markov_run):
     for label, (dataset, result, _), seed in (
             ("cyclic", cyclic_run, CYCLIC_TRAIN_SEED),
             ("markov", markov_run, MARKOV_TRAIN_SEED)):
-        rerun = train(dataset, _desk_train_config(seed))
+        rerun = run_training(dataset, _desk_train_config(seed))
         same = all(rerun.checkpoint.tensors[name].tobytes() == arr.tobytes()
                    for name, arr in result.checkpoint.tensors.items())
         checks.append((f"{label}: retrained checkpoint bit-identical", same))

@@ -9,12 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqdiff.checkpoint import (MAGIC, CheckpointTruncatedError, load_checkpoint,
-                                save_checkpoint)
+from seqdiff.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from seqdiff.cli import main
 from seqdiff.config import TrainConfig
+from seqdiff.data import synth
 from seqdiff.model import param_shapes
 from seqdiff.schedule import build_schedule, dump_schedule_csv
+from seqdiff.train import run_training
 from conftest import desk_config, format_config, replace_metadata, with_metadata
 
 
@@ -388,7 +389,7 @@ def test_a_tensor_longer_than_its_checkpoint_file_is_one_line_and_exit_2(
     ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(), claim))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointTruncatedError, match="data of 'item_emb'"):
+        with pytest.raises(CheckpointError, match="data of 'item_emb'"):
             load_checkpoint(ckpt_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -415,6 +416,23 @@ def test_metadata_that_does_not_parse_is_one_line_and_exit_2(tmp_path, trained_c
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("seqdiff infer: checkpoint metadata does not parse: ")
     assert "sys." not in captured.err
+
+
+@pytest.mark.parametrize("metadata,message", [
+    (b"[]", "checkpoint metadata is not a JSON object"),
+    (b"null", "checkpoint metadata is not a JSON object"),
+    (b'{"config": 3, "vocab_size": 15, "epoch": 0, "tensors": []}',
+     "metadata field 'config' is not a JSON object"),
+], ids=["list", "null", "config-number"])
+def test_metadata_that_is_not_an_object_is_named_in_one_line_and_exit_2(
+        tmp_path, trained_ckpt, metadata, message, capsys):
+    ckpt_path = tmp_path / "bad.ckpt"
+    ckpt_path.write_bytes(replace_metadata(trained_ckpt.read_bytes(), metadata))
+    capsys.readouterr()
+    assert main(["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"seqdiff infer: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "probe"])
@@ -597,3 +615,60 @@ def test_horizon_over_the_ceiling_is_one_line_and_exit_2(tmp_path, synth_dir, tr
     assert captured.err == (f"seqdiff {command}: {message} must be in [1, {MAX_T_LIMIT}] "
                             f"(config.MAX_T_LIMIT), got {t}\n")
     assert not any(tmp_path.glob("*.csv")) and not (tmp_path / "out.ckpt").exists()
+
+
+_MUTANTS = {"Infinity": float("inf"), "NaN": float("nan"), "-1": -1, "1e30": 1e30,
+            "10^30": 10**30, "10^400": 10**400, "x": "x", "null": None, "[]": [], "{}": {},
+            "true": True}
+_PYTHON_TEXT = ("Traceback", "object is not", "indices must be", "argument after", "NoneType")
+
+
+def _mutations(meta: dict):
+    """(label, metadata) pairs: each metadata field, each config field and each
+    part of the first `tensors` entry set to each mutant, then the non-object
+    top levels."""
+    def mutate(path, value):
+        copy = json.loads(json.dumps(meta))
+        *parents, last = path
+        owner = copy
+        for key in parents:
+            owner = owner[key]
+        owner[last] = value
+        return copy
+
+    paths = [(key,) for key in meta] + [("config", key) for key in meta["config"]]
+    paths += [("tensors", 0), ("tensors", 0, 0), ("tensors", 0, 1), ("tensors", 0, 1, 0)]
+    for path in paths:
+        for label, value in _MUTANTS.items():
+            yield f"{'.'.join(map(str, path))}={label}", mutate(path, value)
+    for label, value in (("[]", []), ("x", "x"), ("3", 3), ("null", None), ("true", True)):
+        yield f"top-level={label}", value
+
+
+def test_every_checkpoint_metadata_mutation_is_exit_0_or_one_line_and_exit_2(tmp_path,
+                                                                               capsys):
+    cfg = desk_config(dim=8, blocks=1, heads=2, t=4, batch_size=32, epochs=1, max_len=8,
+                      eval_every=0)
+    clean = tmp_path / "clean.ckpt"
+    save_checkpoint(run_training(synth("cyclic", 30, 10, 6, 1), cfg).checkpoint, clean)
+    ckpt_bytes = clean.read_bytes()
+    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
+    cases = list(_mutations(json.loads(ckpt_bytes[16:16 + meta_len])))
+    assert len(cases) == 346
+    path = tmp_path / "mutant.ckpt"
+    escapes = []
+    for label, meta in cases:
+        path.write_bytes(replace_metadata(ckpt_bytes, json.dumps(meta).encode()))
+        capsys.readouterr()
+        try:
+            code = main(["infer", "--ckpt", str(path), "--sequence", "1,2"])
+        except Exception as exc:  # a traceback
+            escapes.append((label, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        one_line = len(lines) == 1 and lines[0].startswith("seqdiff infer: ")
+        if code not in (0, 2) or (code == 2 and not one_line) or any(
+                text in err for text in _PYTHON_TEXT):
+            escapes.append((label, code, err))
+    assert escapes == []

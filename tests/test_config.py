@@ -116,6 +116,20 @@ def test_validate_accepts_an_int_for_a_float_field():
     assert TrainConfig(learning_rate=1, delta=0).validate().learning_rate == 1
 
 
+def test_validate_stores_an_int_for_a_float_field_as_a_float():
+    # numpy's ufuncs refuse a Python int past 2**64: a delta of 10**30 used to
+    # pass here and then fail inside the reversal's square root
+    cfg = TrainConfig(delta=10**30).validate()
+    assert type(cfg.delta) is float and cfg.delta == 1e30
+
+
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_validate_refuses_an_int_past_the_float_range(field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got an integer past "
+                                         f"the float range$"):
+        TrainConfig(**{field: 10**400}).validate()
+
+
 def test_validate_requires_dim_divisible_by_heads():
     with pytest.raises(ValueError):
         TrainConfig(dim=30, heads=4).validate()

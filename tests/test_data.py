@@ -52,7 +52,7 @@ def test_preprocess_drops_sparse_users():
     recs += [("casual", "i0", 1), ("casual", "i1", 2),
              ("casual", "i2", 3), ("casual", "i3", 4)]
     ds = preprocess(_records(recs), min_count=5, max_len=50)
-    assert ds.user_ids == ["active"]
+    assert [len(seq) for seq in ds.sequences] == [25]  # casual's 4 events are gone
 
 
 def test_preprocess_drops_rare_items_first():
@@ -60,7 +60,7 @@ def test_preprocess_drops_rare_items_first():
     recs += [("v", "pop", t) for t in range(5)]            # one popular item
     ds = preprocess(_records(recs), min_count=5, max_len=50)
     assert ds.item_ids == ["pop"]
-    assert ds.user_ids == ["v"]
+    assert ds.sequences == [[1] * 5]
 
 
 def test_preprocess_truncates_to_most_recent():
@@ -144,8 +144,7 @@ def test_split_length_three_has_no_train_sample():
     ds = synth("cyclic", 1, 10, 3, seed=0)
     ds.sequences = [[1, 2, 3]]
     splits = split(ds)
-    assert splits.train == []
-    assert splits.n_train_skipped == 1
+    assert len(splits.train) == 0 and len(splits.valid) == len(splits.test) == 1
     assert splits.valid[0].history == (1,) and splits.valid[0].target == 2
     assert splits.test[0].history == (1, 2) and splits.test[0].target == 3
 
@@ -155,8 +154,8 @@ def test_split_excludes_short_sequences_with_count():
     ds.sequences = [[1, 2], [1, 2, 3, 4]]
     with pytest.warns(UserWarning, match="1 sequences shorter"):
         splits = split(ds)
-    assert splits.n_excluded == 1
-    assert len(splits.test) == 1
+    assert len(splits.train) == len(splits.valid) == len(splits.test) == 1
+    assert splits.test[0].target == 4
 
 
 def test_split_targets_not_in_train_supervision():
@@ -295,5 +294,6 @@ def test_filtering_soundness_property():
         assert raw_item_counts[item] >= min_count
     post_item_user_counts = Counter(
         r.user for r in recs if raw_item_counts[r.item] >= min_count)
-    for user in ds.user_ids:
-        assert post_item_user_counts[user] >= min_count
+    # one sequence per such user, in order of first appearance, untruncated
+    assert [len(seq) for seq in ds.sequences] == [
+        n for n in post_item_user_counts.values() if n >= min_count]

@@ -13,11 +13,8 @@ import pytest
 
 import seqdiff
 from conftest import desk_config, with_metadata
-from seqdiff.checkpoint import (CheckpointFormatError, CheckpointShapeError,
-                                CheckpointTruncatedError,
-                                CheckpointVersionError, ModelCheckpoint,
-                                load_checkpoint, model_from_checkpoint,
-                                save_checkpoint)
+from seqdiff.checkpoint import (CheckpointError, ModelCheckpoint, load_checkpoint,
+                                model_from_checkpoint, save_checkpoint)
 from seqdiff.data import Sample, split, synth
 from seqdiff.diffusion import reverse_step
 from seqdiff.evaluate import evaluate, uncertainty_probe
@@ -26,7 +23,7 @@ from seqdiff.model import Approximator, init_params, param_shapes
 from seqdiff.rng import RngStream, gaussian_rows
 from seqdiff.schedule import build_schedule
 from seqdiff.tensor import Tensor
-from seqdiff.train import adversarial_train, keep_freed_memory, loss_batch, train
+from seqdiff.train import keep_freed_memory, loss_batch, run_training
 
 
 def tiny_config(**overrides):
@@ -181,7 +178,7 @@ def test_checkpoint_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"????"
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
@@ -191,7 +188,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[8:12] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
@@ -200,7 +197,7 @@ def test_checkpoint_truncation_names_tensor(tmp_path):
     save_checkpoint(_small_checkpoint(), path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 50])
-    with pytest.raises(CheckpointTruncatedError) as err:
+    with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert "'" in str(err.value)  # a tensor name is quoted in the message
 
@@ -210,7 +207,7 @@ def test_checkpoint_shape_table_inconsistency(tmp_path):
     path = _saved(_small_checkpoint(), tmp_path)
     path.write_bytes(with_metadata(path.read_bytes(),
                                    lambda meta: meta["tensors"][0][1].__setitem__(0, 9)))
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["item_emb", '
+    with pytest.raises(CheckpointError, match=r'^tensor 0 is listed as \["item_emb", '
                        r'\[9, 16\]\] where the metadata implies \["item_emb", \[8, 16\]\]'):
         load_checkpoint(path)
 
@@ -223,14 +220,14 @@ def test_a_listing_mismatch_is_refused_before_any_payload_is_read(tmp_path):
     raw = _saved(ckpt, tmp_path).read_bytes()
     (meta_len,) = struct.unpack("<I", raw[12:16])
     (tmp_path / "model.ckpt").write_bytes(raw[:16 + meta_len])
-    with pytest.raises(CheckpointShapeError, match=r"\[5, 16\]"):
+    with pytest.raises(CheckpointError, match=r"\[5, 16\]"):
         load_checkpoint(tmp_path / "model.ckpt")
 
 
 def test_loading_enforces_the_parameter_table_order(tmp_path):
     ckpt = _small_checkpoint()
     ckpt.tensors = dict(reversed(ckpt.tensors.items()))
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["block0.ln2_b"'):
+    with pytest.raises(CheckpointError, match=r'^tensor 0 is listed as \["block0.ln2_b"'):
         load_checkpoint(_saved(ckpt, tmp_path))
 
 
@@ -238,7 +235,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(_small_checkpoint(), path)
     path.write_bytes(path.read_bytes() + b"garbage")
-    with pytest.raises(CheckpointFormatError, match="trailing"):
+    with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
 
 
@@ -247,7 +244,7 @@ def test_checkpoint_nonfinite_tensor_rejected(tmp_path):
     ckpt = _small_checkpoint()
     ckpt.tensors["item_emb"][2, 1] = np.nan
     save_checkpoint(ckpt, path)
-    with pytest.raises(CheckpointFormatError, match="item_emb"):
+    with pytest.raises(CheckpointError, match="item_emb"):
         load_checkpoint(path)
 
 
@@ -278,7 +275,7 @@ def test_model_from_checkpoint_rejects_missing_tensor(tmp_path):
     # the file is refused as it loads, so no model is ever built from it
     ckpt = _small_checkpoint()
     del ckpt.tensors["item_emb"]
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 0 is listed as \["pos_emb", '
+    with pytest.raises(CheckpointError, match=r'^tensor 0 is listed as \["pos_emb", '
                        r'\[10, 16\]\] where the metadata implies \["item_emb", \[8, 16\]\] '
                        r'\(13 listed, 14 implied\)$'):
         load_checkpoint(_saved(ckpt, tmp_path))
@@ -288,7 +285,7 @@ def test_model_from_checkpoint_rejects_a_tensor_the_metadata_does_not_imply(tmp_
     # a 2-block checkpoint whose metadata claims 1 block loaded its first block alone
     ckpt = _small_checkpoint(blocks=2)
     ckpt.config = dataclasses.replace(ckpt.config, blocks=1)
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 14 is listed as \["block1.wq", '
+    with pytest.raises(CheckpointError, match=r'^tensor 14 is listed as \["block1.wq", '
                        r'\[16, 16\]\] where the metadata implies null \(26 listed, 14 implied\)$'):
         load_checkpoint(_saved(ckpt, tmp_path))
 
@@ -312,7 +309,7 @@ def test_per_gate_gru_checkpoint_is_refused(tmp_path):
     # earlier builds stored one recurrent matrix and bias per gate
     ckpt = _small_checkpoint(approximator="gru")
     ckpt.tensors = _per_gate(ckpt.tensors, "h", ckpt.config.dim)
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 1 is listed as \["gru.wh_r", '
+    with pytest.raises(CheckpointError, match=r'^tensor 1 is listed as \["gru.wh_r", '
                        r'\[16, 16\]\] where the metadata implies \["gru.bh", \[48\]\]'):
         load_checkpoint(_saved(ckpt, tmp_path))
 
@@ -321,7 +318,7 @@ def test_per_gate_input_gru_checkpoint_is_refused(tmp_path):
     # earlier builds stored one input matrix and bias per gate
     ckpt = _small_checkpoint(approximator="gru")
     ckpt.tensors = _per_gate(ckpt.tensors, "i", ckpt.config.dim)
-    with pytest.raises(CheckpointShapeError, match=r'^tensor 2 is listed as \["gru.wi_r", '
+    with pytest.raises(CheckpointError, match=r'^tensor 2 is listed as \["gru.wi_r", '
                        r'\[16, 16\]\] where the metadata implies \["gru.bi", \[48\]\]'):
         load_checkpoint(_saved(ckpt, tmp_path))
 
@@ -342,7 +339,7 @@ def test_checkpoint_metadata_is_checked_against_the_tensors_before_allocating(tm
                                    lambda meta: meta.update(vocab_size=2_000_000)))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointShapeError, match="item_emb"):
+        with pytest.raises(CheckpointError, match="item_emb"):
             load_checkpoint(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -358,7 +355,7 @@ def test_checkpoint_metadata_is_checked_against_the_tensors_before_allocating(tm
 def test_zero_epochs_returns_initialization():
     cfg = tiny_config(epochs=0)
     ds = tiny_dataset()
-    result = train(ds, cfg)
+    result = run_training(ds, cfg)
     fresh = init_params(ds.n_items, cfg, RngStream(cfg.seed).derive(0))
     for name, tensor in fresh.items():
         assert np.array_equal(result.checkpoint.tensors[name], tensor.data)
@@ -368,8 +365,8 @@ def test_zero_epochs_returns_initialization():
 def test_training_is_deterministic_and_bit_exact(tmp_path):
     cfg = tiny_config(epochs=2)
     ds = tiny_dataset()
-    a = train(ds, cfg)
-    b = train(ds, cfg)
+    a = run_training(ds, cfg)
+    b = run_training(ds, cfg)
     for name in a.checkpoint.tensors:
         assert a.checkpoint.tensors[name].tobytes() == b.checkpoint.tensors[name].tobytes()
     pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -383,11 +380,11 @@ _EPOCH_FAULTS = """
 import resource
 from seqdiff.config import TrainConfig
 from seqdiff.data import synth
-from seqdiff.train import train
+from seqdiff.train import run_training
 marks = []
 cfg = TrainConfig(dim=32, blocks=1, heads=2, t=4, batch_size=128, epochs=4,
                   max_len=20, eval_every=0, seed=3)
-train(synth("cyclic", 300, 20, 21, 5), cfg,
+run_training(synth("cyclic", 300, 20, 21, 5), cfg,
       log_fn=lambda _: marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
 print(*(b - a for a, b in zip(marks, marks[1:])))
 """
@@ -411,7 +408,7 @@ def test_training_batches_reuse_the_pages_freed_before_them():
 def test_training_loss_beats_uniform_baseline():
     cfg = tiny_config(epochs=6)
     ds = tiny_dataset(users=200)
-    result = train(ds, cfg)
+    result = run_training(ds, cfg)
     assert result.epoch_losses[-1] < math.log(ds.n_items)
     assert result.epoch_losses[-1] < result.epoch_losses[0]
 
@@ -420,25 +417,18 @@ def test_training_requires_nonempty_dataset():
     ds = tiny_dataset()
     ds.sequences = []
     with pytest.raises(ValueError):
-        train(ds, tiny_config())
-
-
-def test_training_rejects_wrong_mode():
-    with pytest.raises(ValueError):
-        train(tiny_dataset(), tiny_config(mode="adversarial"))
-    with pytest.raises(ValueError):
-        adversarial_train(tiny_dataset(), tiny_config(mode="diffusion"))
+        run_training(ds, tiny_config())
 
 
 def test_training_aborts_on_nonfinite_loss():
     cfg = tiny_config(epochs=2, learning_rate=1e150)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
-        train(tiny_dataset(), cfg)
+        run_training(tiny_dataset(), cfg)
 
 
 def test_early_stopping_keeps_best_checkpoint():
     cfg = tiny_config(epochs=6, eval_every=1, patience=2)
-    result = train(tiny_dataset(users=40, length=6), cfg)
+    result = run_training(tiny_dataset(users=40, length=6), cfg)
     assert result.best_val_ndcg10 is not None
     assert result.checkpoint.epoch <= result.epochs_run
 
@@ -447,12 +437,12 @@ def test_checkpoint_holds_the_best_epochs_parameters():
     # at seed 1, validation NDCG@10 peaks at epoch 2 and training stops at epoch 4
     ds = tiny_dataset(users=40, length=6)
     cfg = tiny_config(epochs=6, eval_every=1, patience=2, seed=1)
-    result = train(ds, cfg)
+    result = run_training(ds, cfg)
     k = result.checkpoint.epoch
     assert k < result.epochs_run
     # the training streams derive from the seed and validation changes no
     # parameter, so a k-epoch run ends on the parameters of epoch k
-    upto_k = train(ds, dataclasses.replace(cfg, epochs=k, eval_every=0)).checkpoint
+    upto_k = run_training(ds, dataclasses.replace(cfg, epochs=k, eval_every=0)).checkpoint
     assert upto_k.epoch == k
     assert list(result.checkpoint.tensors) == list(upto_k.tensors)
     for name, arr in upto_k.tensors.items():
@@ -542,7 +532,7 @@ def test_schedule_options_of_another_family_fail_before_epoch_one():
     cfg = tiny_config(schedule_kind="cosine", schedule_tau=0.5)
     logs = []
     with pytest.raises(ValueError, match="schedule option tau=0.5"):
-        train(tiny_dataset(), cfg, log_fn=logs.append)
+        run_training(tiny_dataset(), cfg, log_fn=logs.append)
     assert logs == []
 
 
@@ -591,7 +581,8 @@ def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, 
     model_mod = importlib.import_module("seqdiff.model")
     array_fn = {"transformer": "_transformer_eval_arrays", "gru": "_gru_eval_arrays"}[approximator]
     ds = tiny_dataset()
-    scorer = build_scorer(train(ds, tiny_config(approximator=approximator, epochs=1)).checkpoint)
+    result = run_training(ds, tiny_config(approximator=approximator, epochs=1))
+    scorer = build_scorer(result.checkpoint)
     test = split(ds).test
     calls = {"eval forward": 0, "array path": 0}
     forward, array_path = model_mod.Approximator.forward, getattr(model_mod, array_fn)
@@ -636,7 +627,7 @@ def test_eval_infer_and_probe_run_every_forward_on_the_array_path(approximator, 
 def test_adversarial_zero_epsilon_doubles_base_loss():
     cfg = tiny_config(mode="adversarial", epsilon_adv=0.0, gamma_adv=1.0,
                       epochs=2)
-    result = adversarial_train(tiny_dataset(), cfg)
+    result = run_training(tiny_dataset(), cfg)
     assert result.step_logs
     for entry in result.step_logs:
         assert entry.delta_norm == 0.0
@@ -646,7 +637,7 @@ def test_adversarial_zero_epsilon_doubles_base_loss():
 def test_adversarial_delta_norm_pinned_to_epsilon():
     cfg = tiny_config(mode="adversarial", epsilon_adv=0.5, gamma_adv=1.0,
                       epochs=2)
-    result = adversarial_train(tiny_dataset(), cfg)
+    result = run_training(tiny_dataset(), cfg)
     for entry in result.step_logs:
         assert abs(entry.delta_norm - 0.5) < 1e-10
 
@@ -654,8 +645,8 @@ def test_adversarial_delta_norm_pinned_to_epsilon():
 def test_adversarial_training_learns_and_is_deterministic():
     cfg = tiny_config(mode="adversarial", epochs=3)
     ds = tiny_dataset()
-    a = adversarial_train(ds, cfg)
-    b = adversarial_train(ds, cfg)
+    a = run_training(ds, cfg)
+    b = run_training(ds, cfg)
     assert a.epoch_losses == b.epoch_losses
     assert a.epoch_losses[-1] < a.epoch_losses[0]
     for name in a.checkpoint.tensors:
@@ -664,7 +655,7 @@ def test_adversarial_training_learns_and_is_deterministic():
 
 def test_adversarial_checkpoint_scores_deterministically():
     cfg = tiny_config(mode="adversarial", epochs=1)
-    result = adversarial_train(tiny_dataset(), cfg)
+    result = run_training(tiny_dataset(), cfg)
     model = model_from_checkpoint(result.checkpoint)
     scorer = NextItemScorer(model)
     a = scorer.score([1, 2, 3], RngStream(0))
@@ -675,7 +666,7 @@ def test_adversarial_checkpoint_scores_deterministically():
 def test_gru_approximator_trains_end_to_end():
     cfg = tiny_config(approximator="gru", epochs=3)
     ds = tiny_dataset(users=100)
-    result = train(ds, cfg)
+    result = run_training(ds, cfg)
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     assert any(name.startswith("gru.") for name in result.checkpoint.tensors)
 
@@ -694,7 +685,7 @@ def test_float32_mode_trains_and_stores_float32(monkeypatch):
     monkeypatch.setattr(Adam, "step", spying)
     seqdiff.set_default_dtype("float32")
     try:
-        result = train(tiny_dataset(users=40, length=6), tiny_config(epochs=1))
+        result = run_training(tiny_dataset(users=40, length=6), tiny_config(epochs=1))
         assert result.checkpoint.tensors["item_emb"].dtype == np.float32
         assert np.isfinite(result.epoch_losses[-1])
     finally:
@@ -707,7 +698,7 @@ def test_padding_embedding_row_never_updated():
     cfg = tiny_config(epochs=3)
     ds = tiny_dataset()
     init = init_params(ds.n_items, cfg, RngStream(cfg.seed).derive(0))
-    result = train(ds, cfg)
+    result = run_training(ds, cfg)
     trained_row0 = result.checkpoint.tensors["item_emb"][0]
     assert np.array_equal(trained_row0, init["item_emb"].data[0])
     assert not np.array_equal(result.checkpoint.tensors["item_emb"][1],
@@ -716,7 +707,7 @@ def test_padding_embedding_row_never_updated():
 
 def test_constant_offset_schedule_flows_through_training():
     cfg = tiny_config(epochs=1, schedule_b=0.05)
-    result = train(tiny_dataset(), cfg)
+    result = run_training(tiny_dataset(), cfg)
     assert result.checkpoint.config.schedule_b == 0.05
     model = model_from_checkpoint(result.checkpoint)
     scorer = DiffusionScorer(model, cfg.t)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from seqdiff.config import TrainConfig
-from seqdiff.schedule import (KINDS, ScheduleValidityError, alpha_bar,
-                              build_schedule, dump_schedule_csv, posterior,
-                              respace, schedule_from_betas)
+from seqdiff.schedule import (KINDS, ScheduleValidityError, build_schedule,
+                              dump_schedule_csv, posterior, respace, schedule_from_betas)
 
 
 def test_truncated_linear_hand_values():
@@ -45,7 +44,6 @@ def test_truncation_bound_property():
 def test_alpha_bar_strictly_decreasing_from_one(kind):
     sch = build_schedule(kind, t=32)
     assert np.all(sch.betas > 0) and np.all(sch.betas < 1)
-    assert alpha_bar(sch, 0) == 1.0
     bars = np.concatenate([[1.0], sch.alpha_bars])
     assert np.all(np.diff(bars) < 0)
     assert np.all(np.diff(1.0 - bars) > 0)
@@ -63,23 +61,21 @@ def test_internal_consistency(kind):
 
 def test_alpha_bar_two_term_product():
     sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
-    assert alpha_bar(sch, 2) == pytest.approx(0.72, rel=1e-15)
-    assert alpha_bar(sch, 0) == 1.0
+    assert sch.alpha_bars[2 - 1] == pytest.approx(0.72, rel=1e-15)
 
 
 def test_alpha_bar_constant_beta_closed_form():
     beta = 0.05
     sch = schedule_from_betas("truncated-linear", [beta] * 10)
-    for s in range(11):
-        assert alpha_bar(sch, s) == pytest.approx((1 - beta) ** s, rel=1e-12)
+    for s in range(1, 11):
+        assert sch.alpha_bars[s - 1] == pytest.approx((1 - beta) ** s, rel=1e-12)
 
 
 def test_alpha_bar_range_check():
+    # the table holds steps 1..t; alpha_bar_0 = 1, the empty product, is not stored
     sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
-    with pytest.raises(ValueError):
-        alpha_bar(sch, 3)
-    with pytest.raises(ValueError):
-        alpha_bar(sch, -1)
+    assert sch.alpha_bars.shape == (sch.t,) == (2,)
+    assert sch.alpha_bars[0] == pytest.approx(0.9, rel=1e-15)
 
 
 def test_posterior_degenerates_at_step_one():
@@ -153,7 +149,7 @@ def test_schedule_shapes_match_reference_ordering():
     """sqrt noisiest at the start; truncated-linear drops hardest mid-process."""
     t = 32
     schedules = {kind: build_schedule(kind, t=t) for kind in KINDS}
-    first_bars = {kind: alpha_bar(s, 1) for kind, s in schedules.items()}
+    first_bars = {kind: s.alpha_bars[0] for kind, s in schedules.items()}
     assert min(first_bars, key=first_bars.get) == "sqrt"
     bars = np.concatenate([[1.0], schedules["truncated-linear"].alpha_bars])
     drop_step = int(np.argmax(bars[:-1] - bars[1:])) + 1
