@@ -27,10 +27,6 @@ MAGIC = b"SEQDIF01"
 FORMAT_VERSION = 2
 
 
-class CheckpointError(Exception):
-    """A checkpoint file could not be loaded; the message names the fault."""
-
-
 @dataclass
 class ModelCheckpoint:
     config: TrainConfig
@@ -61,7 +57,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     so a declared length costs no memory beyond the file's size."""
     buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(buf) != n:
-        raise CheckpointError(f"file ends inside {what}")
+        raise ValueError(f"file ends inside {what}")
     return buf
 
 
@@ -70,11 +66,11 @@ def _check_listing(listing, shapes: dict[str, tuple[int, ...]]) -> None:
     if type(listing) is not list or not all(
             type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is list
             and all(type(d) is int for d in e[1]) for e in listing):
-        raise CheckpointError("metadata field 'tensors' is not a list of [name, dims] pairs")
+        raise ValueError("metadata field 'tensors' is not a list of [name, dims] pairs")
     implied = [[name, list(shape)] for name, shape in shapes.items()]
     for i, (listed, want) in enumerate(zip_longest(listing, implied)):
         if listed != want:  # None past the end of the shorter list
-            raise CheckpointError(
+            raise ValueError(
                 f"tensor {i} is listed as {json.dumps(listed)} where the metadata implies "
                 f"{json.dumps(want)} ({len(listing)} listed, {len(implied)} implied)")
 
@@ -83,29 +79,33 @@ def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise CheckpointError(f"bad magic bytes {magic!r}")
+            raise ValueError(f"bad magic bytes {magic!r}")
         version = struct.unpack("<I", _read_exact(fh, 4, "version field"))[0]
         if version != FORMAT_VERSION:
-            raise CheckpointError(
+            raise ValueError(
                 f"format version {version}, this build reads {FORMAT_VERSION}")
         meta_len = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))[0]
+        meta_bytes = _read_exact(fh, meta_len, "metadata block")
         try:  # bad UTF-8, deep nesting and long ints raise too; cut a long int's sys.* advice
-            meta = json.loads(_read_exact(fh, meta_len, "metadata block"))
+            meta = json.loads(meta_bytes)
         except (ValueError, RecursionError) as exc:
-            raise CheckpointError(
+            raise ValueError(
                 f"checkpoint metadata does not parse: {str(exc).split(';')[0]}") from None
         if type(meta) is not dict:
-            raise CheckpointError("checkpoint metadata is not a JSON object")
+            raise ValueError("checkpoint metadata is not a JSON object")
         try:
             if type(meta["config"]) is not dict:
-                raise CheckpointError("metadata field 'config' is not a JSON object")
-            cfg = config_from_dict(meta["config"])
+                raise ValueError("metadata field 'config' is not a JSON object")
+            try:
+                cfg = config_from_dict(meta["config"])
+            except ValueError as exc:
+                raise ValueError(f"metadata field 'config': {exc}") from None
             vocab_size, epoch, listing = meta["vocab_size"], meta["epoch"], meta["tensors"]
         except KeyError as exc:
-            raise CheckpointError(f"metadata missing field: {exc}") from None
+            raise ValueError(f"metadata missing field: {exc}") from None
         for field, value, least in (("vocab_size", vocab_size, 1), ("epoch", epoch, 0)):
             if type(value) is not int or value < least:  # a JSON bool, float or string is not one
-                raise CheckpointError(
+                raise ValueError(
                     f"metadata field {field!r} must be an integer >= {least}, got {value!r}")
         shapes = param_shapes(vocab_size, cfg)
         _check_listing(listing, shapes)
@@ -114,7 +114,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
             payload = _read_exact(fh, 8 * math.prod(shape), f"data of {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             if not np.all(np.isfinite(tensors[name])):
-                raise CheckpointError(f"tensor {name!r} holds non-finite values")
+                raise ValueError(f"tensor {name!r} holds non-finite values")
         if fh.read(1):
-            raise CheckpointError("trailing bytes after the last tensor")
+            raise ValueError("trailing bytes after the last tensor")
     return ModelCheckpoint(config=cfg, vocab_size=vocab_size, epoch=epoch, tensors=tensors)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
 from .data import ingest, load_processed, preprocess, save_processed, split, synth
 from .evaluate import (PopularityScorer, evaluate, head_tail_report,
@@ -22,7 +22,7 @@ from .infer import build_scorer, rank_items
 from .metrics import report_csv_rows, report_from_ranks, report_table
 from .rng import RngStream
 from .schedule import build_schedule, dump_schedule_csv
-from .train import TrainingDivergedError, run_training
+from .train import run_training
 
 
 def _cmd_preprocess(args) -> int:
@@ -229,8 +229,10 @@ def main(argv=None) -> int:
                 warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(
                 f"seqdiff {args.command}: warning: {message}", file=sys.stderr)
+            if getattr(args, "out", None) == "":  # Path("") is the working directory
+                raise ValueError("--out is empty")
             return args.func(args)
-    except (ValueError, OSError, CheckpointError, TrainingDivergedError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"seqdiff {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,6 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .data import text_lines
 from .rng import SEED_LIMIT
 
 # The transformer allocates its (max_len, dim) positional table before any
@@ -163,8 +164,7 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return parse_config("".join(line for _, line in text_lines(path)))
 
 
 def config_from_dict(d: dict) -> TrainConfig:

@@ -26,14 +26,6 @@ MAX_SYNTH_ITEMS = 1_000_000
 MAX_SYNTH_ACTIONS = 10_000_000
 
 
-class DataFormatError(ValueError):
-    """A raw interaction line could not be parsed."""
-
-
-class PreprocessError(ValueError):
-    """Preprocessing left nothing to model."""
-
-
 @dataclass(frozen=True)
 class InteractionRecord:
     user: str
@@ -78,27 +70,37 @@ class DatasetSplits:
     train_freqs: np.ndarray = field(default=None, repr=False)
 
 
+def text_lines(path):
+    """Enumerate a UTF-8 text file's lines from 1, whatever the locale. Bytes
+    that are not UTF-8 are refused, naming the file, not replaced: a replaced
+    byte could make two item ids one."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def ingest(path) -> list[InteractionRecord]:
     """Parse `user<TAB>item<TAB>timestamp` lines; blank lines are skipped."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected user<TAB>item<TAB>timestamp")
-            user, item, ts = parts
-            try:
-                timestamp = int(ts)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: timestamp {ts!r} is not an integer") from None
-            if timestamp < 0:
-                raise DataFormatError(f"{path}: line {lineno}: negative timestamp")
-            records.append(InteractionRecord(user, item, timestamp))
+    for lineno, line in text_lines(path):
+        stripped = line.rstrip("\n")
+        if not stripped.strip():
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected user<TAB>item<TAB>timestamp")
+        user, item, ts = parts
+        try:
+            timestamp = int(ts)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: timestamp {ts!r} is not an integer") from None
+        if timestamp < 0:
+            raise ValueError(f"{path}: line {lineno}: negative timestamp")
+        records.append(InteractionRecord(user, item, timestamp))
     return records
 
 
@@ -126,7 +128,7 @@ def preprocess(records: list[InteractionRecord], min_count: int = 5,
         if all(c >= min_count for c in item_counts.values()):
             break
     if not kept:
-        raise PreprocessError("no sequences survive preprocessing")
+        raise ValueError("no sequences survive preprocessing")
 
     by_user: dict[str, list[InteractionRecord]] = {}
     for r in kept:  # insertion order = first appearance in the file
@@ -222,10 +224,10 @@ def save_processed(dataset: SequenceDataset, out_dir) -> None:
     and `vocab.tsv` (`index<TAB>original_item_id`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sequences.txt", "w") as fh:
+    with open(out / "sequences.txt", "w", encoding="utf-8") as fh:
         for seq in dataset.sequences:
             fh.write(" ".join(str(i) for i in seq) + "\n")
-    with open(out / "vocab.tsv", "w") as fh:
+    with open(out / "vocab.tsv", "w", encoding="utf-8") as fh:
         for idx, item in enumerate(dataset.item_ids, start=1):
             fh.write(f"{idx}\t{item}\n")
 
@@ -234,7 +236,7 @@ def _index(token: str, path, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise DataFormatError(
+        raise ValueError(
             f"{path}: line {lineno}: item index {token!r} is not an integer") from None
 
 
@@ -246,25 +248,23 @@ def load_processed(data_dir) -> SequenceDataset:
         raise FileNotFoundError(
             f"{data_dir} must contain sequences.txt and vocab.tsv")
     sequences = []
-    with open(seq_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                sequences.append([_index(tok, seq_path, lineno) for tok in line.split()])
+    for lineno, line in text_lines(seq_path):
+        if line.strip():
+            sequences.append([_index(tok, seq_path, lineno) for tok in line.split()])
     item_ids = []
-    with open(vocab_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            idx_str, tab, item = line.rstrip("\n").partition("\t")
-            if not tab:
-                raise DataFormatError(f"{vocab_path}: line {lineno}: expected index<TAB>item_id")
-            if _index(idx_str, vocab_path, lineno) != len(item_ids) + 1:
-                raise DataFormatError(f"{vocab_path}: line {lineno}: non-contiguous index, "
-                                      f"expected {len(item_ids) + 1}")
-            item_ids.append(item)
+    for lineno, line in text_lines(vocab_path):
+        if not line.strip():
+            continue
+        idx_str, tab, item = line.rstrip("\n").partition("\t")
+        if not tab:
+            raise ValueError(f"{vocab_path}: line {lineno}: expected index<TAB>item_id")
+        if _index(idx_str, vocab_path, lineno) != len(item_ids) + 1:
+            raise ValueError(f"{vocab_path}: line {lineno}: non-contiguous index, "
+                             f"expected {len(item_ids) + 1}")
+        item_ids.append(item)
     n_items = len(item_ids)
     for seq in sequences:
         if any(i < 1 or i > n_items for i in seq):
-            raise DataFormatError(f"{seq_path}: item index outside [1, {n_items}]")
+            raise ValueError(f"{seq_path}: item index outside [1, {n_items}]")
     n_actions = sum(len(s) for s in sequences)
     return SequenceDataset(sequences=sequences, item_ids=item_ids, n_actions=n_actions)

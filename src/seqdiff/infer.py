@@ -23,16 +23,12 @@ from .schedule import build_schedule, respace
 ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
 
 
-class HistoryError(ValueError):
-    """A history the model cannot score: empty, or an item outside the vocabulary."""
-
-
 def check_items(history, n_items: int) -> None:
-    """Raise HistoryError naming the first item of `history` outside [1, n_items]."""
+    """Raise ValueError naming the first item of `history` outside [1, n_items]."""
     hist = np.asarray(history)
     bad = hist[(hist < 1) | (hist > n_items)]
     if bad.size:
-        raise HistoryError(f"history item {bad[0]} is outside [1, {n_items}]")
+        raise ValueError(f"history item {bad[0]} is outside [1, {n_items}]")
 
 
 def rank_items(scores) -> np.ndarray:
@@ -74,7 +70,7 @@ class _EmbeddingScorer(Scorer):
     def _history(self, history) -> np.ndarray:
         hist = np.asarray(list(history)[-self.model.cfg.max_len:])
         if hist.size == 0:
-            raise HistoryError("history is empty after truncation")
+            raise ValueError("history is empty after truncation")
         check_items(hist, self.n_items)  # before the int cast, which overflows on huge items
         return hist.astype(int, copy=False)
 

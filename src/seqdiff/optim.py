@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, Tensor
+from .tensor import Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moments' decay rates; the denominator's offset
 
@@ -42,7 +42,7 @@ class Adam:
             if g is None:
                 g = 0.0
             elif g.shape != p.data.shape:
-                raise ShapeMismatchError(
+                raise ValueError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}")
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=num)

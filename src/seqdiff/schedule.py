@@ -34,10 +34,6 @@ KINDS = ("truncated-linear", "linear", "cosine", "sqrt")
 _MAX_BETA = 0.999
 
 
-class ScheduleValidityError(ValueError):
-    """A constructed schedule has a step with beta outside (0, 1)."""
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step table: index s-1 of each column belongs to step s."""
@@ -117,7 +113,7 @@ def schedule_from_betas(kind: str, betas) -> NoiseSchedule:
     bad = np.nonzero((betas <= 0.0) | (betas >= 1.0))[0]
     if bad.size:
         s0 = int(bad[0]) + 1
-        raise ScheduleValidityError(
+        raise ValueError(
             f"{kind} schedule invalid: beta_{s0} = {betas[bad[0]]:.6g} not in (0, 1)")
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)

@@ -43,10 +43,6 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
-class ShapeMismatchError(ValueError):
-    """Operands have shapes the requested op cannot combine."""
-
-
 class Tensor:
     """n-dimensional float array, optionally tracked for differentiation."""
 
@@ -214,11 +210,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """
     a_shape, b_shape = a.data.shape, b.data.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
-        raise ShapeMismatchError(f"matmul needs >=2-d operands, got {a_shape} @ {b_shape}")
+        raise ValueError(f"matmul needs >=2-d operands, got {a_shape} @ {b_shape}")
     if a_shape[-1] != b_shape[-2]:
-        raise ShapeMismatchError(f"inner dimensions disagree: {a_shape} @ {b_shape}")
+        raise ValueError(f"inner dimensions disagree: {a_shape} @ {b_shape}")
     if len(a_shape) > 2 and len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2]:
-        raise ShapeMismatchError(f"leading dimensions disagree: {a_shape} @ {b_shape}")
+        raise ValueError(f"leading dimensions disagree: {a_shape} @ {b_shape}")
     out = Tensor(a.data @ b.data)
     if tracked(a, b):
         a_data, b_data = a.data, b.data
@@ -333,7 +329,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatchError(
+        raise ValueError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     y, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
     out = Tensor(y)
@@ -407,7 +403,7 @@ def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
     """
     data = x.data
     if sum(sizes) != data.shape[-1]:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"split sizes {sizes} do not add up to the last axis {data.shape[-1]}")
     parts, start = [], 0
     for k in sizes:
@@ -443,11 +439,11 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     and may not be a target.
     """
     if logits.ndim != 2:
-        raise ShapeMismatchError(f"expected 2-d logits, got shape {logits.shape}")
+        raise ValueError(f"expected 2-d logits, got shape {logits.shape}")
     b, n = logits.shape
     tgt = np.asarray(targets)
     if tgt.shape != (b,):
-        raise ShapeMismatchError(f"targets shape {tgt.shape} != ({b},)")
+        raise ValueError(f"targets shape {tgt.shape} != ({b},)")
     if tgt.min() < 1 or tgt.max() >= n:
         raise ValueError(f"target index out of range [1, {n})")
     z = logits.data.copy()

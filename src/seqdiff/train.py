@@ -30,10 +30,6 @@ from .tensor import (Tape, Tensor, add, backward, cross_entropy_rows,
                      embedding_lookup, matmul, scale, transpose)
 
 
-class TrainingDivergedError(RuntimeError):
-    """A training batch produced a non-finite loss."""
-
-
 @dataclass
 class StepLog:
     loss: float
@@ -106,7 +102,7 @@ def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
             hist, mask, targets = _assemble(splits.train, idx, cfg.max_len)
             entry = batch_step(hist, mask, targets)
             if not np.isfinite(entry.loss):
-                raise TrainingDivergedError(
+                raise ValueError(
                     f"training diverged: loss={entry.loss} at epoch {epoch} batch {bi}")
             step_logs.append(entry)
             loss_sum += entry.loss * len(idx)

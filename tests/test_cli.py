@@ -1,18 +1,21 @@
 import dataclasses
 import json
+import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from seqdiff.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from seqdiff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from seqdiff.cli import main
 from seqdiff.config import TrainConfig
-from seqdiff.data import synth
+from seqdiff.data import save_processed, synth
 from seqdiff.model import param_shapes
 from seqdiff.schedule import build_schedule, dump_schedule_csv
 from seqdiff.train import run_training
@@ -226,7 +229,21 @@ _EXPECTED_ERRORS = {
     "out-train-missing-dir": "nodir does not exist",
     "out-eval-missing-dir": "nodir does not exist",
     "out-probe-is-dir": "is a directory",
+    "ckpt-cut-in-metadata": "file ends inside metadata block",
+    "ckpt-odd-dim": "seqdiff infer: metadata field 'config': dim must be even",
+    "sequences-not-utf8": "sequences.txt: not UTF-8 text",
+    "vocab-not-utf8": "vocab.tsv: not UTF-8 text",
+    "raw-not-utf8": "raw.tsv: not UTF-8 text",
+    "config-not-utf8": "bad.cfg: not UTF-8 text",
+    "vocab-not-utf8-c-locale": "vocab.tsv: not UTF-8 text",
+    "out-synth-empty": "seqdiff synth: --out is empty\n",
+    "out-preprocess-empty": "seqdiff preprocess: --out is empty\n",
+    "out-eval-empty": "seqdiff eval: --out is empty\n",
 }
+_NOT_UTF8 = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\xff\n",
+             "raw-not-utf8": b"u\t\xff\t1\n", "config-not-utf8": b"dim = 8\n\xff\n",
+             # valid UTF-8 first: the C locale must not refuse it before the bad byte
+             "vocab-not-utf8-c-locale": "1\tcaf\u00e9\n2\t".encode() + b"\xff\n"}
 
 
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
@@ -240,9 +257,11 @@ _EXPECTED_ERRORS = {
                                    "out-train-missing-dir", "out-eval-missing-dir",
                                    "out-probe-is-dir", "ckpt-format-1",
                                    "ckpt-tensors-not-a-list", "ckpt-no-tensors", "ckpt-wrong-dim",
-                                   "ckpt-trailing-bytes"])
+                                   "ckpt-trailing-bytes", "ckpt-cut-in-metadata", "ckpt-odd-dim",
+                                   *_NOT_UTF8, "out-synth-empty", "out-preprocess-empty",
+                                   "out-eval-empty"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
-                                               capsys):
+                                               capsys, monkeypatch):
     ckpt_path = tmp_path / "bad.ckpt"
     if fault == "truncated-ckpt":
         ckpt_path.write_bytes(trained_ckpt.read_bytes()[:-50])
@@ -271,6 +290,10 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
                                             lambda meta: meta["tensors"][0][1].__setitem__(0, 17)))
     elif fault == "ckpt-trailing-bytes":
         ckpt_path.write_bytes(trained_ckpt.read_bytes() + b"\0")
+    elif fault == "ckpt-cut-in-metadata":
+        ckpt_path.write_bytes(trained_ckpt.read_bytes()[:40])
+    elif fault == "ckpt-odd-dim":
+        ckpt_path.write_bytes(_with_config_metadata(trained_ckpt.read_bytes(), dim=3))
     elif fault != "missing-ckpt":
         ckpt_path = trained_ckpt
     argv = ["infer", "--ckpt", str(ckpt_path), "--sequence", "1,2"]
@@ -286,10 +309,29 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         argv += ["--topk", "-3"]
     elif fault.startswith("out-"):  # refused before any work: no epoch line, no report
         out = str(tmp_path if fault == "out-probe-is-dir" else tmp_path / "nodir" / "out")
+        if fault.endswith("-empty"):  # "" would be the working directory
+            out = ""
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "raw.tsv").write_text("u\ti\t1\n")
         argv = {"train": ["train", "--data", str(synth_dir), "--config",
                           str(tmp_path / "train.cfg"), "--out", out],
                 "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(synth_dir), "--out", out],
-                "probe": ["probe", *argv[1:], "--out", out]}[fault.split("-")[1]]
+                "probe": ["probe", *argv[1:], "--out", out],
+                "synth": ["synth", "--out", out],
+                "preprocess": ["preprocess", "--in", str(tmp_path / "raw.tsv"), "--out", out],
+                }[fault.split("-")[1]]
+    elif fault in _NOT_UTF8:
+        data = tmp_path / "data8"
+        data.mkdir()
+        (data / "sequences.txt").write_text("1 2 3\n")
+        (data / "vocab.tsv").write_text("".join(f"{i}\titem{i}\n" for i in range(1, 16)))
+        name = {"sequences": "sequences.txt", "vocab": "vocab.tsv", "raw": "raw.tsv",
+                "config": "bad.cfg"}[fault.split("-")[0]]
+        (data / name).write_bytes(_NOT_UTF8[fault])
+        argv = {"raw.tsv": ["preprocess", "--in", str(data / name), "--out", str(data / "p")],
+                "bad.cfg": ["train", "--data", str(data), "--config", str(data / name),
+                            "--out", str(tmp_path / "out.ckpt")],
+                }.get(name, ["eval", "--ckpt", str(ckpt_path), "--data", str(data)])
     elif fault.startswith("probe"):
         argv = ["probe", *argv[1:], "--out", str(tmp_path / "probe.csv")]
         argv += {"probe-n-negative": ["--n", "-5"], "probe-topk-0": ["--topk", "0"],
@@ -306,15 +348,24 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         (data / "sequences.txt").write_text("1 2 3 16\n2 3 4 17\n")
         argv = ["eval", "--ckpt", str(ckpt_path), "--data", str(data)]
         argv += ["--mask-history"] if fault == "eval-mask-target-16" else []
-    capsys.readouterr()
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"seqdiff {argv[0]}: ")
-    assert _EXPECTED_ERRORS.get(fault, "") in captured.err
+    if fault.endswith("-c-locale"):  # the locale is fixed when the interpreter starts
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run([sys.executable, "-m", "seqdiff", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        stdout, stderr = proc.stdout, proc.stderr
+    else:
+        capsys.readouterr()
+        assert main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith(f"seqdiff {argv[0]}: ")
+    assert _EXPECTED_ERRORS.get(fault, "") in stderr
     assert not (tmp_path / "probe.csv").exists()
     assert not (tmp_path / "out.ckpt").exists()
+    assert not (tmp_path / "sequences.txt").exists()
 
 
 _EDGE_INTS = (-1, 0, 2**63, 2**64, 10**30)
@@ -389,7 +440,7 @@ def test_a_tensor_longer_than_its_checkpoint_file_is_one_line_and_exit_2(
     ckpt_path.write_bytes(with_metadata(trained_ckpt.read_bytes(), claim))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="data of 'item_emb'"):
+        with pytest.raises(ValueError, match="data of 'item_emb'"):
             load_checkpoint(ckpt_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -607,7 +658,7 @@ def test_horizon_over_the_ceiling_is_one_line_and_exit_2(tmp_path, synth_dir, tr
         ckpt.config = dataclasses.replace(ckpt.config, t=t)
         save_checkpoint(ckpt, tmp_path / "long.ckpt")
         argv = [command, "--ckpt", str(tmp_path / "long.ckpt"), "--sequence", "1,2"]
-        message = "t"
+        message = "metadata field 'config': t"
     capsys.readouterr()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -671,4 +722,113 @@ def test_every_checkpoint_metadata_mutation_is_exit_0_or_one_line_and_exit_2(tmp
         if code not in (0, 2) or (code == 2 and not one_line) or any(
                 text in err for text in _PYTHON_TEXT):
             escapes.append((label, code, err))
+    assert escapes == []
+
+
+def test_text_files_are_written_and_read_as_utf8_in_a_c_locale(tmp_path):
+    (tmp_path / "raw.tsv").write_text("u1\tcafé\t1\nu1\tthé\t2\nu1\tcafé\t3\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-m", "seqdiff", "preprocess", "--in",
+                           str(tmp_path / "raw.tsv"), "--out", str(tmp_path / "data"),
+                           "--min-count", "1"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "data" / "vocab.tsv").read_bytes() == "1\tcafé\n2\tthé\n".encode()
+
+
+_CONFIG_VALUES = ("Infinity", "NaN", "-1", "1e30", "1" + "0" * 30, "1" + "0" * 400, "x", "",
+                  "true", "1_0")
+
+
+def _config_cases(tmp_path):
+    """`train` with each config field set to each of _CONFIG_VALUES, on data
+    whose split has no training sample, so that no case trains."""
+    data = tmp_path / "untrainable"
+    data.mkdir()
+    (data / "sequences.txt").write_text("1 2 3\n3 2 1\n")
+    (data / "vocab.tsv").write_text("1\ta\n2\tb\n3\tc\n")
+    base = format_config(desk_config(dim=8, blocks=1, heads=2, t=4, batch_size=32, epochs=1,
+                                     max_len=8, eval_every=0)).splitlines()
+    for i, line in enumerate(base):
+        field = line.split(" = ")[0]
+        for value in _CONFIG_VALUES:
+            path = tmp_path / f"{field}={value[:8]}.cfg"
+            path.write_text("\n".join(base[:i] + [f"{field} = {value}"] + base[i + 1:]) + "\n")
+            yield f"{field}={value[:8]}", ["train", "--data", str(data), "--config", str(path),
+                                           "--out", str(tmp_path / "out.ckpt")]
+
+
+_SEQUENCE_LINES = {"token-x": b"1 x 3", "token-0": b"0 1 2", "token-11": b"1 2 11",
+                   "token-minus-1": b"1 -1 2", "token-1.5": b"1 1.5 2",
+                   "token-10^30": b"1 2 1" + b"0" * 30, "token-1_0": b"1 2 1_0",
+                   "tabs": b"1\t2\t3\t4", "spaces": b"   ", "not-utf8": b"1 \xff 3",
+                   "bom": b"\xef\xbb\xbf1 2 3"}
+_VOCAB_LINES = {"no-tab": b"1 1", "index-x": b"x\t1", "index-0": b"0\t1", "index-2": b"2\t1",
+                "index-1.0": b"1.0\t1", "tab-in-id": b"1\ta\tb", "empty-id": b"1\t",
+                "blank": b"", "not-utf8": b"1\t\xff", "bom": b"\xef\xbb\xbf1\t1"}
+
+
+def _data_cases(tmp_path, ckpt_path, clean):
+    """`eval` on the clean dataset with the first line of sequences.txt or
+    vocab.tsv replaced, or with the whole file emptied, given CRLF line ends
+    or given a blank line after each line."""
+    for name, first_lines in (("sequences.txt", _SEQUENCE_LINES), ("vocab.tsv", _VOCAB_LINES)):
+        text = (clean / name).read_bytes()
+        variants = {label: line + text[text.index(b"\n"):] for label, line in first_lines.items()}
+        variants.update({"empty": b"", "crlf": text.replace(b"\n", b"\r\n"),
+                         "blank-lines": text.replace(b"\n", b"\n\n")})
+        for label, variant in variants.items():
+            data = tmp_path / f"{name}-{label}"
+            shutil.copytree(clean, data)
+            (data / name).write_bytes(variant)
+            yield f"{name}:{label}", ["eval", "--ckpt", str(ckpt_path), "--data", str(data)]
+
+
+def _checkpoint_cases(tmp_path, ckpt_bytes, shapes):
+    """`infer` on the checkpoint cut inside its metadata and at the start of
+    each payload, and with each of its 16 header bytes set to 0, set to 255
+    and with its low bit flipped."""
+    (meta_len,) = struct.unpack("<I", ckpt_bytes[12:16])
+    starts = list(accumulate((8 * math.prod(s) for s in shapes.values()), initial=16 + meta_len))
+    assert starts[-1] == len(ckpt_bytes)
+    variants = [(f"cut-at-{n}", ckpt_bytes[:n])
+                for n in (16, 17, 16 + meta_len // 2, 16 + meta_len - 1, *starts[:-1])]
+    for i in range(16):
+        for label, byte in (("0", 0), ("255", 255), ("flip", ckpt_bytes[i] ^ 1)):
+            variants.append((f"byte-{i}={label}",
+                             ckpt_bytes[:i] + bytes([byte]) + ckpt_bytes[i + 1:]))
+    for label, variant in variants:
+        path = tmp_path / f"{label}.ckpt"
+        path.write_bytes(variant)
+        yield label, ["infer", "--ckpt", str(path), "--sequence", "1,2"]
+
+
+def test_every_config_data_and_checkpoint_fault_is_exit_0_or_one_line_and_exit_2(tmp_path,
+                                                                                  capsys):
+    # exit 0 with no error line, or exit 2 with one; warnings print before it
+    cfg = desk_config(dim=8, blocks=1, heads=2, t=4, batch_size=32, epochs=1, max_len=8,
+                      eval_every=0)
+    dataset = synth("cyclic", 30, 10, 6, 1)
+    ckpt_path, clean = tmp_path / "clean.ckpt", tmp_path / "clean"
+    save_checkpoint(run_training(dataset, cfg).checkpoint, ckpt_path)
+    save_processed(dataset, clean)
+    cases = [*_config_cases(tmp_path), *_data_cases(tmp_path, ckpt_path, clean),
+             *_checkpoint_cases(tmp_path, ckpt_path.read_bytes(), param_shapes(10, cfg))]
+    assert len(cases) == 23 * 10 + 2 * 3 + 11 + 10 + 4 + 14 + 16 * 3
+    escapes = []
+    for label, argv in cases:
+        prefix = f"seqdiff {argv[0]}: "
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # a traceback, or argparse's usage text
+            escapes.append((label, repr(exc)))
+            continue
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if not line.startswith(prefix + "warning: ")]
+        if code not in (0, 2) or len(errors) != (code == 2) or not all(
+                line.startswith(prefix) and not any(text in line for text in _PYTHON_TEXT)
+                for line in lines):
+            escapes.append((label, code, lines))
     assert escapes == []

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, DataFormatError,
-                          InteractionRecord, PreprocessError, ingest, load_processed,
-                          preprocess, save_processed, split, synth)
+from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, InteractionRecord, ingest,
+                          load_processed, preprocess, save_processed, split, synth)
 from conftest import markov_transition_matrix
 
 
@@ -24,14 +23,14 @@ def test_ingest_parses_tab_separated_lines(tmp_path):
 
 def test_ingest_rejects_comma_lines_with_line_number(tmp_path):
     path = _write(tmp_path, "u1,i9,100\n")
-    with pytest.raises(DataFormatError) as err:
+    with pytest.raises(ValueError) as err:
         ingest(path)
     assert "line 1" in str(err.value)
 
 
 def test_ingest_rejects_non_integer_timestamp(tmp_path):
     path = _write(tmp_path, "u1\ti9\tnoon\n")
-    with pytest.raises(DataFormatError) as err:
+    with pytest.raises(ValueError) as err:
         ingest(path)
     assert "line 1" in str(err.value)
 
@@ -89,7 +88,7 @@ def test_preprocess_rejects_max_len_below_one(max_len):
 
 
 def test_preprocess_empty_result_is_an_error():
-    with pytest.raises(PreprocessError):
+    with pytest.raises(ValueError):
         preprocess(_records([("u", "i", 1)]), min_count=5)
 
 
@@ -259,7 +258,7 @@ def test_load_processed_missing_files(tmp_path):
 def test_load_processed_names_file_and_line_of_bad_token(tmp_path, name, text):
     save_processed(synth("cyclic", 3, 2, 4, seed=0), tmp_path)
     (tmp_path / name).write_text(text)
-    with pytest.raises(DataFormatError) as err:
+    with pytest.raises(ValueError) as err:
         load_processed(tmp_path)
     assert str(err.value).startswith(f"{tmp_path / name}: line 2: ")
 
@@ -269,13 +268,13 @@ def test_load_processed_counts_vocab_indices_past_blank_lines(tmp_path):
     (tmp_path / "vocab.tsv").write_text("1\ta\n\n2\tb\n3\tc\n")
     assert load_processed(tmp_path).item_ids == ["a", "b", "c"]
     (tmp_path / "vocab.tsv").write_text("1\ta\n\n3\tc\n")
-    with pytest.raises(DataFormatError, match="line 3: non-contiguous index, expected 2"):
+    with pytest.raises(ValueError, match="line 3: non-contiguous index, expected 2"):
         load_processed(tmp_path)
 
 
 def test_ingest_rejects_negative_timestamp(tmp_path):
     path = _write(tmp_path, "u1\ti9\t-5\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(ValueError):
         ingest(path)
 
 

@@ -9,8 +9,7 @@ from seqdiff.evaluate import (PopularityScorer, RankRecord, evaluate,
                               head_items, head_tail_report,
                               length_bucket_report, rank_records, target_rank,
                               uncertainty_probe)
-from seqdiff.infer import (DiffusionScorer, HistoryError, NextItemScorer, Scorer, infer,
-                           rank_items)
+from seqdiff.infer import DiffusionScorer, NextItemScorer, Scorer, infer, rank_items
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
 
@@ -173,7 +172,7 @@ def test_mask_history_rejects_an_unknown_item_before_the_window(item):
     scorer = DiffusionScorer(Approximator(init_params(50, cfg, RngStream(4)), cfg))
     sample = Sample((item,) + (1,) * 12, 2)  # the window holds only the 1s
     assert rank_records(scorer, [sample], RngStream(0))[0].rank >= 1
-    with pytest.raises(HistoryError, match=f"history item {item} is outside"):
+    with pytest.raises(ValueError, match=f"history item {item} is outside"):
         rank_records(scorer, [sample], RngStream(0), mask_history=True)
 
 

@@ -17,6 +17,19 @@ def test_train_submodule_is_not_shadowed():
     assert seqdiff.train is importlib.import_module("seqdiff.train")
 
 
+def test_no_module_defines_an_exception_class():
+    # A fault the caller or an input file caused is a ValueError, an I/O fault
+    # an OSError; `seqdiff.cli.main` catches those two and nothing else.
+    defined = []
+    for path in sorted((ROOT / "src" / "seqdiff").glob("*.py")):
+        if path.stem != "__main__":  # importing it runs the command line
+            module = importlib.import_module(f"seqdiff.{path.stem}".replace(".__init__", ""))
+            defined += [f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__]
+    assert defined == []
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

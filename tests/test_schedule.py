@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from seqdiff.config import TrainConfig
-from seqdiff.schedule import (KINDS, ScheduleValidityError, build_schedule,
-                              dump_schedule_csv, posterior, respace, schedule_from_betas)
+from seqdiff.schedule import (KINDS, build_schedule, dump_schedule_csv, posterior, respace,
+                              schedule_from_betas)
 
 
 def test_truncated_linear_hand_values():
@@ -31,7 +31,8 @@ def test_truncation_bound_property():
         b = float(rng.uniform(0.0, 0.5))
         try:
             sch = build_schedule("truncated-linear", t=t, a=a, b=b, tau=1.0)
-        except ScheduleValidityError:
+        except ValueError as err:
+            assert "not in (0, 1)" in str(err)
             continue
         s = np.arange(1, t + 1)
         raw = (a / t) * s + b / s
@@ -114,14 +115,14 @@ def test_posterior_step_range():
 
 
 def test_invalid_beta_reports_offending_step():
-    with pytest.raises(ScheduleValidityError) as err:
+    with pytest.raises(ValueError) as err:
         build_schedule("truncated-linear", t=4, a=0.0, b=0.0, tau=1.0)
     assert "beta_1" in str(err.value)
 
 
 def test_linear_schedule_can_overflow_at_tiny_horizons():
     # the rescaled endpoints exceed 1 below t=20; the validity check owns that
-    with pytest.raises(ScheduleValidityError):
+    with pytest.raises(ValueError):
         build_schedule("linear", t=8)
     build_schedule("linear", t=32)
 
@@ -175,7 +176,8 @@ def test_posterior_table_equals_per_step_reference_exactly(kind):
     for t in (1, 8, 32, 1000):
         try:
             sch = build_schedule(kind, t)
-        except ScheduleValidityError:
+        except ValueError as err:
+            assert "not in (0, 1)" in str(err)
             assert kind == "linear" and t == 8  # its rescaled endpoints overflow
             continue
         horizons.append(t)
@@ -232,5 +234,5 @@ def test_sqrt_schedule_whose_alpha_bar_reaches_zero_caps_the_next_step():
     # 1 - sqrt(0.9999 + 1e-4) is exactly 0, so step 10,000 divides by zero
     sch = build_schedule("sqrt", 10_000)
     assert sch.betas[-2:].tolist() == [0.999, 0.999]
-    with pytest.raises(ScheduleValidityError, match="beta_20000"):
+    with pytest.raises(ValueError, match="beta_20000"):
         build_schedule("sqrt", 20_000)  # its last step has alpha_bar < 0 before it

@@ -8,7 +8,7 @@ import pytest
 
 import seqdiff.tensor as tensor_module
 from seqdiff.rng import RngStream
-from seqdiff.tensor import (ShapeMismatchError, Tape, Tensor, add, backward,
+from seqdiff.tensor import (Tape, Tensor, add, backward,
                             cross_entropy_rows, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape,
                             set_default_dtype, sigmoid, softmax, split, stack,
@@ -29,7 +29,7 @@ def test_matmul_hand_product():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeMismatchError) as err:
+    with pytest.raises(ValueError) as err:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
     assert "(2, 3)" in str(err.value) and "(2, 2)" in str(err.value)
 
@@ -77,7 +77,7 @@ def test_layer_norm_pre_affine_rows_centered():
 
 
 def test_layer_norm_shape_check():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError):
         layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
 
@@ -345,7 +345,7 @@ def test_split_gives_exact_zeros_to_parts_off_the_loss_path():
 
 
 def test_split_sizes_must_cover_the_last_axis():
-    with pytest.raises(ShapeMismatchError, match="do not add up"):
+    with pytest.raises(ValueError, match="do not add up"):
         split(Tensor(np.zeros((2, 5))), (2, 2))
 
 
