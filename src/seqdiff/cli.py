@@ -15,7 +15,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
-from .data import ingest, load_processed, preprocess, save_processed, split, synth
+from .data import (ingest, load_processed, parse_number, preprocess, save_processed, split,
+                   synth)
 from .evaluate import (PopularityScorer, evaluate, head_tail_report,
                        length_bucket_report, rank_records, uncertainty_probe)
 from .infer import build_scorer, rank_items
@@ -72,7 +73,7 @@ def _cmd_train(args) -> int:
 
 def _parse_sequence(text: str) -> list[int]:
     try:
-        items = [int(tok) for tok in text.split(",") if tok.strip()]
+        items = [parse_number(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"cannot parse item sequence {text!r}") from None
     if not items:
@@ -144,40 +145,60 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    return parse_number(text, int)
+
+
+def _float(text: str) -> float:
+    return parse_number(text, float)
+
+
+_int.__name__, _float.__name__ = "int", "float"  # argparse names the type in its errors
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, like every other
+    fault: `seqdiff synth: argument --users: invalid int value: '1_0'`. Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqdiff",
         description="Diffusion-based sequential recommender toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     scoring = argparse.ArgumentParser(add_help=False)  # shared by infer, eval, probe
     scoring.add_argument("--ckpt", required=True)
-    scoring.add_argument("--steps", type=int, default=None)
-    scoring.add_argument("--seed", type=int, default=0)
+    scoring.add_argument("--steps", type=_int, default=None)
+    scoring.add_argument("--seed", type=_int, default=0)
 
     p = sub.add_parser("preprocess", help="filter and index raw interactions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=50)
+    p.add_argument("--min-count", type=_int, default=5)
+    p.add_argument("--max-len", type=_int, default=50)
     p.add_argument("--kcore-iterate", action="store_true",
                    help="repeat the 5-core filter to a fixed point")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--kind", choices=("cyclic", "markov"), default="cyclic")
-    p.add_argument("--users", type=int, default=1000)
-    p.add_argument("--items", type=int, default=50)
-    p.add_argument("--len", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--users", type=_int, default=1000)
+    p.add_argument("--items", type=_int, default=50)
+    p.add_argument("--len", type=_int, default=20)
+    p.add_argument("--seed", type=_int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("schedule-dump", help="write a schedule/posterior CSV")
     p.add_argument("--kind", default=TrainConfig.schedule_kind)
-    p.add_argument("--t", type=int, default=TrainConfig.t)
-    p.add_argument("--a", type=float, default=TrainConfig.schedule_a)
-    p.add_argument("--b", type=float, default=TrainConfig.schedule_b)
-    p.add_argument("--tau", type=float, default=TrainConfig.schedule_tau)
+    p.add_argument("--t", type=_int, default=TrainConfig.t)
+    p.add_argument("--a", type=_float, default=TrainConfig.schedule_a)
+    p.add_argument("--b", type=_float, default=TrainConfig.schedule_b)
+    p.add_argument("--tau", type=_float, default=TrainConfig.schedule_tau)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_schedule_dump)
 
@@ -185,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", parents=[scoring], help="rank items for one history")
     p.add_argument("--sequence", required=True, help='comma-separated, e.g. "3,17,5"')
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_int, default=10)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("eval", parents=[scoring],
@@ -206,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", parents=[scoring], help="uncertainty probe: repeated reversals")
     p.add_argument("--sequence", required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--topk", type=int, default=20)
+    p.add_argument("--n", type=_int, default=100)
+    p.add_argument("--topk", type=_int, default=20)
     p.add_argument("--out", required=True, help="CSV of reversed vectors")
     p.set_defaults(func=_cmd_probe)
 
@@ -220,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:  # a usage error, already named by its command
+        print(exc, file=sys.stderr)
+        return 2
     # Overflow inside a model ends in the one-line error of the check that
     # catches it (non-finite item scores, a diverged loss), not in numpy
     # warnings; the library's own warnings print as one line each.

@@ -6,7 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .data import text_lines
+from .data import parse_number, text_lines
 from .rng import SEED_LIMIT
 
 # The transformer allocates its (max_len, dim) positional table before any
@@ -135,7 +135,7 @@ def _parse_value(name: str, text: str):
     if kind == "str":
         return text
     try:
-        return int(text) if kind == "int" else float(text)
+        return parse_number(text, int if kind == "int" else float)
     except ValueError:
         raise ValueError(f"cannot parse {kind} {name} = {text!r}") from None
 

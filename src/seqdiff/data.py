@@ -9,6 +9,7 @@ feedback; duplicate (user, item) pairs stay as separate interactions.
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +25,10 @@ from .rng import RngStream
 # items take about 70 MB, ten million actions up to about 500 MB.
 MAX_SYNTH_ITEMS = 1_000_000
 MAX_SYNTH_ACTIONS = 10_000_000
+
+_NUMBER = {int: re.compile(r"-?[0-9]+"),
+           float: re.compile(r"-?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[-+]?[0-9]+)?|inf|infinity|nan)",
+                             re.ASCII | re.IGNORECASE)}
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,19 @@ def text_lines(path):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def parse_number(text: str, kind: type = int):
+    """`text` as an int or a float, in the one grammar of every number read
+    from text: ASCII digits after an optional minus, and for a float also a
+    decimal point and an exponent (`0.001`, `1e-3`, `-2.5`), or `inf` or
+    `nan`, which the range checks then name. Spaces, tabs and line ends
+    around it are ignored. Underscores, a leading `+` and non-ASCII digits,
+    which int() and float() accept, raise ValueError."""
+    token = text.strip(" \t\r\n")
+    if not _NUMBER[kind].fullmatch(token):
+        raise ValueError(f"invalid {kind.__name__} {text!r}")
+    return kind(token)
+
+
 def ingest(path) -> list[InteractionRecord]:
     """Parse `user<TAB>item<TAB>timestamp` lines; blank lines are skipped."""
     records = []
@@ -94,7 +112,7 @@ def ingest(path) -> list[InteractionRecord]:
                 f"{path}: line {lineno}: expected user<TAB>item<TAB>timestamp")
         user, item, ts = parts
         try:
-            timestamp = int(ts)
+            timestamp = parse_number(ts)
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: timestamp {ts!r} is not an integer") from None
@@ -234,7 +252,7 @@ def save_processed(dataset: SequenceDataset, out_dir) -> None:
 
 def _index(token: str, path, lineno: int) -> int:
     try:
-        return int(token)
+        return parse_number(token)
     except ValueError:
         raise ValueError(
             f"{path}: line {lineno}: item index {token!r} is not an integer") from None
@@ -263,6 +281,8 @@ def load_processed(data_dir) -> SequenceDataset:
                              f"expected {len(item_ids) + 1}")
         item_ids.append(item)
     n_items = len(item_ids)
+    if sequences and not n_items:
+        raise ValueError(f"{vocab_path}: no items, but {seq_path.name} holds some")
     for seq in sequences:
         if any(i < 1 or i > n_items for i in seq):
             raise ValueError(f"{seq_path}: item index outside [1, {n_items}]")

@@ -27,8 +27,8 @@ import numpy as np
 from .config import TrainConfig
 from .rng import RngStream, gaussian_rows
 from .tensor import (Tensor, add, default_dtype, dropout, embedding_lookup, gather_rows,
-                     layer_norm, layer_norm_array, matmul, mul, relu, reshape, scale, sigmoid,
-                     sigmoid_array, softmax, softmax_array, split, stack, tanh, tracked,
+                     layer_norm, layer_norm_array, matmul, mul, record, relu, reshape, scale,
+                     sigmoid, sigmoid_array, softmax, softmax_array, split, stack, tanh,
                      transpose)
 
 _NEG_INF = -1e9
@@ -58,10 +58,10 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
     `rng` is one stream, or a list of one stream per row that each draw
     that row's lambda block.
 
-    When no tape records `e_seq` or `x`, the blend runs on the `.data`
-    arrays, cast to the default dtype as `Tensor()` casts them, and only z
-    is wrapped: the taped ops' bytes, since z = e + lambda·u is summed the
-    other way round into the product, which IEEE addition allows.
+    z is computed on the `.data` arrays, cast to the default dtype as
+    `Tensor()` casts them, for every caller; under a tape that tracks
+    `e_seq` or `x` it is one node, whose backward hands `e_seq` the output
+    gradient and `x` its lambda-weighted sum over positions.
     """
     b, n, dim = e_seq.shape
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -71,11 +71,10 @@ def mix(e_seq: Tensor, x, d, delta: float, rng: RngStream | list[RngStream],
         lam = rng.gaussian((b, *lam_shape), mean=delta, std=np.sqrt(delta))
     else:
         lam = gaussian_rows(rng, lam_shape, delta, np.sqrt(delta))
-    if not tracked(e_seq, x):
-        z = lam.astype(default_dtype(), copy=False) * (x.data.reshape(b, 1, dim) + d)
-        z += e_seq.data
-        return Tensor(z)
-    return add(e_seq, mul(Tensor(lam), add(reshape(x, (b, 1, dim)), Tensor(d))))
+    lam = lam.astype(default_dtype(), copy=False)
+    z = lam * (x.data.reshape(b, 1, dim) + d)
+    z += e_seq.data
+    return record(Tensor(z), (e_seq, x), lambda g: (g, (g * lam).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

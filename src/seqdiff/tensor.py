@@ -9,12 +9,12 @@ node, with its saved arrays and its output's adjoint, as the walk passes
 it, and accumulates adjoints into `.grad` of the leaves only: the tracked
 tensors that no op on the tape produced, such as parameters.
 
-Outside a tape an op records nothing, but it still wraps its result in a
-new `Tensor`. So the model's eval forwards run on the `.data` arrays, as
-`model.mix` does when nothing is `tracked`. Sigmoid, softmax and layer norm
-keep their arithmetic in `sigmoid_array`, `softmax_array` and
-`layer_norm_array`, which both the ops and such code run, so the two paths
-share one formula and its bytes.
+Every op returns through `record`, the one place that decides whether the
+active tape records it. Outside a tape an op records nothing, but it still
+wraps its result in a new `Tensor`. So the model's eval forwards run on the
+`.data` arrays. Sigmoid, softmax and layer norm keep their arithmetic in
+`sigmoid_array`, `softmax_array` and `layer_norm_array`, which both the ops
+and those forwards run, so both share one formula and its bytes.
 These helpers work in place on the temporaries they make themselves and
 never write into their inputs; their outputs share no memory with them.
 """
@@ -98,19 +98,16 @@ class Tape:
         _TAPE_STACK.remove(self)
 
 
-def tracked(*tensors: Tensor) -> bool:
-    """True when a tape is active and an op on `tensors` would record on it."""
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in tensors)
-
-
-def _record(out, inputs: tuple[Tensor, ...], backward_fn) -> None:
-    """Append one node to the active tape; every op records through here."""
-    if type(out) is tuple:  # `split`: one node, several outputs
-        for o in out:
+def record(out, inputs: tuple[Tensor, ...], backward_fn):
+    """Return `out`; every op returns through here, which alone decides
+    whether the active tape records it. It does when a tape is active and an
+    input requires grad: then `out` (a tuple for `split`, one node for all
+    its parts) is marked as requiring grad and the node is appended."""
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        for o in out if type(out) is tuple else (out,):
             o.requires_grad = True
-    else:
-        out.requires_grad = True
-    _TAPE_STACK[-1]._nodes.append((out, inputs, backward_fn))
+        _TAPE_STACK[-1]._nodes.append((out, inputs, backward_fn))
+    return out
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -168,36 +165,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-    if tracked(a, b):
-        a_shape, b_shape = a.shape, b.shape
-
-        def bwd(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-        _record(out, (a, b), bwd)
-    return out
+    a_shape, b_shape = a.shape, b.shape
+    return record(Tensor(a.data + b.data), (a, b),
+                  lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)  # a NumPy float64 scalar would promote float32 data
-    out = Tensor(a.data * c)
-    if tracked(a):
-        _record(out, (a,), lambda g: (g * c,))
-    return out
+    return record(Tensor(a.data * c), (a,), lambda g: (g * c,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-    if tracked(a, b):
-        a_data, b_data = a.data, b.data
+    a_data, b_data = a.data, b.data
 
-        def bwd(g):
-            return (_unbroadcast(g * b_data, a_data.shape),
-                    _unbroadcast(g * a_data, b_data.shape))
+    def bwd(g):
+        return (_unbroadcast(g * b_data, a_data.shape),
+                _unbroadcast(g * a_data, b_data.shape))
 
-        _record(out, (a, b), bwd)
-    return out
+    return record(Tensor(a_data * b_data), (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -208,52 +193,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     axes, the backward folds the leading axes into rows and forms both
     gradients as single 2-D GEMMs, not a (B, k, n) stack summed afterwards.
     """
-    a_shape, b_shape = a.data.shape, b.data.shape
+    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a_data.shape, b_data.shape
     if len(a_shape) < 2 or len(b_shape) < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a_shape} @ {b_shape}")
     if a_shape[-1] != b_shape[-2]:
         raise ValueError(f"inner dimensions disagree: {a_shape} @ {b_shape}")
     if len(a_shape) > 2 and len(b_shape) > 2 and a_shape[:-2] != b_shape[:-2]:
         raise ValueError(f"leading dimensions disagree: {a_shape} @ {b_shape}")
-    out = Tensor(a.data @ b.data)
-    if tracked(a, b):
-        a_data, b_data = a.data, b.data
 
-        def bwd(g):
-            if b_data.ndim == 2 and a_data.ndim > 2:
-                k, n = b_data.shape
-                g_rows = g.reshape(-1, n)
-                return (g_rows @ b_data.T).reshape(a_data.shape), a_data.reshape(-1, k).T @ g_rows
-            ga = g @ np.swapaxes(b_data, -1, -2)
-            gb = np.swapaxes(a_data, -1, -2) @ g
-            return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)
+    def bwd(g):
+        if b_data.ndim == 2 and a_data.ndim > 2:
+            k, n = b_shape
+            g_rows = g.reshape(-1, n)
+            return (g_rows @ b_data.T).reshape(a_shape), a_data.reshape(-1, k).T @ g_rows
+        ga = g @ np.swapaxes(b_data, -1, -2)
+        gb = np.swapaxes(a_data, -1, -2) @ g
+        return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
-        _record(out, (a, b), bwd)
-    return out
+    return record(Tensor(a_data @ b_data), (a, b), bwd)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(a.data, axes))
-    if tracked(a):
-        inv = tuple(np.argsort(axes))
-        _record(out, (a,), lambda g: (np.transpose(g, inv),))
-    return out
+    return record(Tensor(np.transpose(a.data, axes)), (a,),
+                  lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    if tracked(a):
-        old = a.shape
-        _record(out, (a,), lambda g: (g.reshape(old),))
-    return out
+    old = a.shape
+    return record(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(old),))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    if tracked(a):
-        mask = a.data > 0
-        _record(out, (a,), lambda g: (g * mask,))
-    return out
+    a_data = a.data
+    return record(Tensor(np.maximum(a_data, 0.0)), (a,), lambda g: (g * (a_data > 0),))
 
 
 def sigmoid_array(a: np.ndarray) -> np.ndarray:
@@ -271,18 +244,12 @@ def sigmoid_array(a: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = sigmoid_array(a.data)
-    out = Tensor(y)
-    if tracked(a):
-        _record(out, (a,), lambda g: (g * y * (1.0 - y),))
-    return out
+    return record(Tensor(y), (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y)
-    if tracked(a):
-        _record(out, (a,), lambda g: (g * (1.0 - y * y),))
-    return out
+    return record(Tensor(y), (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def softmax_array(a: np.ndarray) -> np.ndarray:
@@ -296,15 +263,12 @@ def softmax_array(a: np.ndarray) -> np.ndarray:
 def softmax(a: Tensor) -> Tensor:
     """Max-stabilized softmax over the last axis; rows sum to one."""
     p = softmax_array(a.data)
-    out = Tensor(p)
-    if tracked(a):
 
-        def bwd(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            return (p * (g - dot),)
+    def bwd(g):
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        return (p * (g - dot),)
 
-        _record(out, (a,), bwd)
-    return out
+    return record(Tensor(p), (a,), bwd)
 
 
 def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -332,70 +296,59 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     y, xhat, inv = layer_norm_array(x.data, gain.data, bias.data, eps)
-    out = Tensor(y)
-    if tracked(x, gain, bias):
-        g_data = gain.data
+    g_data = gain.data
 
-        def bwd(g):
-            dxhat = g * g_data
-            # standard layer-norm backward over the last axis
-            gx = inv / d * (d * dxhat
-                            - dxhat.sum(axis=-1, keepdims=True)
-                            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-            lead = tuple(range(g.ndim - 1))
-            return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    def bwd(g):
+        dxhat = g * g_data
+        # standard layer-norm backward over the last axis
+        gx = inv / d * (d * dxhat
+                        - dxhat.sum(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+        lead = tuple(range(g.ndim - 1))
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-        _record(out, (x, gain, bias), bwd)
-    return out
+    return record(Tensor(y), (x, gain, bias), bwd)
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of `table` (V x D) at integer `indices` (any shape)."""
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    shape = table.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
         raise ValueError(
-            f"index out of range [0, {table.shape[0]}) in embedding lookup")
-    out = Tensor(table.data[idx])
-    if tracked(table):
-        shape = table.shape
+            f"index out of range [0, {shape[0]}) in embedding lookup")
 
-        def bwd(g):
-            gt = np.zeros(shape, dtype=g.dtype)
-            np.add.at(gt, idx, g)
-            return (gt,)
+    def bwd(g):
+        gt = np.zeros(shape, dtype=g.dtype)
+        np.add.at(gt, idx, g)
+        return (gt,)
 
-        _record(out, (table,), bwd)
-    return out
+    return record(Tensor(table.data[idx]), (table,), bwd)
 
 
 def gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
     """Pick x[b, positions[b]] for each batch row b: (B,n,...) -> (B,...)."""
     pos = np.asarray(positions)
-    b_idx = np.arange(x.shape[0])
-    out = Tensor(x.data[b_idx, pos])
-    if tracked(x):
-        shape = x.shape
+    shape = x.shape
+    b_idx = np.arange(shape[0])
 
-        def bwd(g):
-            gx = np.zeros(shape, dtype=g.dtype)
-            gx[b_idx, pos] = g
-            return (gx,)
+    def bwd(g):
+        gx = np.zeros(shape, dtype=g.dtype)
+        gx[b_idx, pos] = g
+        return (gx,)
 
-        _record(out, (x,), bwd)
-    return out
+    return record(Tensor(x.data[b_idx, pos]), (x,), bwd)
 
 
 def stack(tensors: list[Tensor]) -> Tensor:
     """n tensors of shape (B, ...) -> (B, n, ...); the backward hands each
     input a view of the output gradient."""
-    out = Tensor(np.stack([t.data for t in tensors], axis=1))
-    if tracked(*tensors):
-        n = len(tensors)
-        _record(out, tuple(tensors), lambda g: tuple(g[:, i] for i in range(n)))
-    return out
+    n = len(tensors)
+    return record(Tensor(np.stack([t.data for t in tensors], axis=1)), tuple(tensors),
+                  lambda g: tuple(g[:, i] for i in range(n)))
 
 
-def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
+def split(x: Tensor, sizes: tuple[int, ...]) -> tuple[Tensor, ...]:
     """Cut the last axis of x into consecutive parts of the given sizes.
 
     One tape node covers every part; its backward joins the part gradients
@@ -409,15 +362,13 @@ def split(x: Tensor, sizes: tuple[int, ...]) -> list[Tensor]:
     for k in sizes:
         parts.append(Tensor(data[..., start:start + k]))
         start += k
-    if tracked(x):
-        lead, dtype = data.shape[:-1], data.dtype
+    lead, dtype = data.shape[:-1], data.dtype
 
-        def bwd(gs):
-            return (np.concatenate([np.zeros(lead + (k,), dtype=dtype) if g is None else g
-                                    for k, g in zip(sizes, gs)], axis=-1),)
+    def bwd(gs):
+        return (np.concatenate([np.zeros(lead + (k,), dtype=dtype) if g is None else g
+                                for k, g in zip(sizes, gs)], axis=-1),)
 
-        _record(tuple(parts), (x,), bwd)
-    return parts
+    return record(tuple(parts), (x,), bwd)
 
 
 def dropout(x: Tensor, p: float, rng: RngStream) -> Tensor:
@@ -427,10 +378,7 @@ def dropout(x: Tensor, p: float, rng: RngStream) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     mask = ((rng.uniform(x.shape) >= p) / (1.0 - p)).astype(_DEFAULT_DTYPE, copy=False)
-    out = Tensor(x.data * mask)
-    if tracked(x):
-        _record(out, (x,), lambda g: (g * mask,))
-    return out
+    return record(Tensor(x.data * mask), (x,), lambda g: (g * mask,))
 
 
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -452,14 +400,10 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = np.exp(z - m)
     denom = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(denom[:, 0])
-    out = Tensor(np.mean(lse - z[np.arange(b), tgt]))
-    if tracked(logits):
-        p = e / denom  # exp(-inf) = 0 keeps the padding column at zero
 
-        def bwd(g):
-            gl = p.copy()
-            gl[np.arange(b), tgt] -= 1.0
-            return (gl * (g / b),)
+    def bwd(g):
+        gl = e / denom  # exp(-inf) = 0 keeps the padding column at zero
+        gl[np.arange(b), tgt] -= 1.0
+        return (gl * (g / b),)
 
-        _record(out, (logits,), bwd)
-    return out
+    return record(Tensor(np.mean(lse - z[np.arange(b), tgt])), (logits,), bwd)

@@ -7,16 +7,13 @@ import pytest
 
 from seqdiff.config import TrainConfig
 from seqdiff.rng import RngStream
-from seqdiff.tensor import Tensor, _record, tracked
+from seqdiff.tensor import Tensor, record
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element as a scalar tensor: the loss the gradient tests reduce to."""
-    out = Tensor(a.data.sum())
-    if tracked(a):
-        shape = a.shape
-        _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
+    shape = a.shape
+    return record(Tensor(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:

@@ -239,11 +239,25 @@ _EXPECTED_ERRORS = {
     "out-synth-empty": "seqdiff synth: --out is empty\n",
     "out-preprocess-empty": "seqdiff preprocess: --out is empty\n",
     "out-eval-empty": "seqdiff eval: --out is empty\n",
+    "sequences-index-1_0": "sequences.txt: line 1: item index '1_0' is not an integer\n",
+    "raw-timestamp-1_0": "raw.tsv: line 1: timestamp '1_0' is not an integer\n",
+    "config-dim-1_6": "config line 1: cannot parse int dim = '1_6'\n",
+    "config-heads-arabic-2": "config line 1: cannot parse int heads = '\u0662'\n",
+    "config-learning-rate-plus": "config line 1: cannot parse float learning_rate = '+0.01'\n",
+    "vocab-empty": "vocab.tsv: no items, but sequences.txt holds some\n",
+    "synth-users-1_0": "seqdiff synth: argument --users: invalid int value: '1_0'\n",
+    "infer-steps-plus": "seqdiff infer: argument --steps: invalid int value: '+1'\n",
+    "infer-sequence-plus": "seqdiff infer: cannot parse item sequence '1,+2'\n",
 }
-_NOT_UTF8 = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\xff\n",
-             "raw-not-utf8": b"u\t\xff\t1\n", "config-not-utf8": b"dim = 8\n\xff\n",
-             # valid UTF-8 first: the C locale must not refuse it before the bad byte
-             "vocab-not-utf8-c-locale": "1\tcaf\u00e9\n2\t".encode() + b"\xff\n"}
+# one file of a dataset of 15 items replaced; the fault's first word names it
+_BAD_FILES = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\xff\n",
+              "raw-not-utf8": b"u\t\xff\t1\n", "config-not-utf8": b"dim = 8\n\xff\n",
+              # valid UTF-8 first: the C locale must not refuse it before the bad byte
+              "vocab-not-utf8-c-locale": "1\tcaf\u00e9\n2\t".encode() + b"\xff\n",
+              # int() and float() accept underscores, a leading + and non-ASCII digits
+              "sequences-index-1_0": b"1 2 1_0\n", "raw-timestamp-1_0": b"u\ti\t1_0\n",
+              "config-dim-1_6": b"dim = 1_6\n", "config-heads-arabic-2": "heads = \u0662\n".encode(),
+              "config-learning-rate-plus": b"learning_rate = +0.01\n", "vocab-empty": b""}
 
 
 @pytest.mark.parametrize("fault", ["steps-0", "truncated-ckpt", "nan-ckpt", "missing-ckpt",
@@ -258,8 +272,9 @@ _NOT_UTF8 = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\x
                                    "out-probe-is-dir", "ckpt-format-1",
                                    "ckpt-tensors-not-a-list", "ckpt-no-tensors", "ckpt-wrong-dim",
                                    "ckpt-trailing-bytes", "ckpt-cut-in-metadata", "ckpt-odd-dim",
-                                   *_NOT_UTF8, "out-synth-empty", "out-preprocess-empty",
-                                   "out-eval-empty"])
+                                   *_BAD_FILES, "out-synth-empty", "out-preprocess-empty",
+                                   "out-eval-empty", "synth-users-1_0", "infer-steps-plus",
+                                   "infer-sequence-plus"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys, monkeypatch):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -303,6 +318,12 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         argv += ["--steps", str(load_checkpoint(trained_ckpt).config.t + 1)]
     elif fault == "bad-sequence":
         argv[-1] = "1,x"
+    elif fault == "infer-sequence-plus":
+        argv[-1] = "1,+2"
+    elif fault == "infer-steps-plus":
+        argv += ["--steps", "+1"]
+    elif fault == "synth-users-1_0":
+        argv = ["synth", "--users", "1_0", "--out", str(tmp_path)]
     elif fault == "missing-data":
         argv = ["baseline", "--data", str(tmp_path / "nodir")]
     elif fault == "infer-topk-negative":
@@ -320,14 +341,14 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
                 "synth": ["synth", "--out", out],
                 "preprocess": ["preprocess", "--in", str(tmp_path / "raw.tsv"), "--out", out],
                 }[fault.split("-")[1]]
-    elif fault in _NOT_UTF8:
+    elif fault in _BAD_FILES:
         data = tmp_path / "data8"
         data.mkdir()
         (data / "sequences.txt").write_text("1 2 3\n")
         (data / "vocab.tsv").write_text("".join(f"{i}\titem{i}\n" for i in range(1, 16)))
         name = {"sequences": "sequences.txt", "vocab": "vocab.tsv", "raw": "raw.tsv",
                 "config": "bad.cfg"}[fault.split("-")[0]]
-        (data / name).write_bytes(_NOT_UTF8[fault])
+        (data / name).write_bytes(_BAD_FILES[fault])
         argv = {"raw.tsv": ["preprocess", "--in", str(data / name), "--out", str(data / "p")],
                 "bad.cfg": ["train", "--data", str(data), "--config", str(data / name),
                             "--out", str(tmp_path / "out.ckpt")],

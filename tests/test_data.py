@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, InteractionRecord, ingest,
-                          load_processed, preprocess, save_processed, split, synth)
+                          load_processed, parse_number, preprocess, save_processed, split,
+                          synth)
 from conftest import markov_transition_matrix
 
 
@@ -296,3 +298,27 @@ def test_filtering_soundness_property():
     # one sequence per such user, in order of first appearance, untruncated
     assert [len(seq) for seq in ds.sequences] == [
         n for n in post_item_user_counts.values() if n >= min_count]
+
+
+@pytest.mark.parametrize("text,kind,value", [
+    ("0", int, 0), ("-12", int, -12), (" 7\r\n", int, 7), ("0.001", float, 0.001),
+    ("1e-3", float, 0.001), ("-2.5", float, -2.5), ("5.", float, 5.0), (".5", float, 0.5),
+    ("1E+3", float, 1000.0), ("12", float, 12.0), ("-inf", float, -math.inf),
+    ("Infinity", float, math.inf)])
+def test_parse_number_reads_ascii_numbers(text, kind, value):
+    out = parse_number(text, kind)
+    assert type(out) is kind and out == value
+
+
+def test_parse_number_reads_nan_for_the_range_checks_to_name():
+    assert math.isnan(parse_number("nan", float))
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("1_0", int), ("+1", int), ("\u0662", int), ("", int), ("-", int), ("1.0", int),
+    ("1e3", int), ("0x10", int), ("\u00a07", int), ("1_0.5", float), ("+0.5", float),
+    ("\u0661.5", float), ("+inf", float), ("inf", int), ("1e", float), ("e3", float),
+    (".", float), ("\u0131nf", float)])
+def test_parse_number_refuses_what_int_and_float_would_stretch_to(text, kind):
+    with pytest.raises(ValueError, match="invalid"):
+        parse_number(text, kind)

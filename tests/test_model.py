@@ -6,7 +6,7 @@ import pytest
 
 from conftest import desk_config, finite_diff_grad, max_rel_error, sum_all
 from seqdiff.model import Approximator, init_params, mix, param_shapes, step_embedding_batch
-from seqdiff.rng import RngStream
+from seqdiff.rng import RngStream, gaussian_rows
 from seqdiff.tensor import (Tape, Tensor, add, backward, dropout, embedding_lookup,
                             gather_rows, layer_norm, matmul, mul, relu, reshape, scale,
                             set_default_dtype, sigmoid, softmax, tanh, transpose)
@@ -79,14 +79,21 @@ def test_mix_scalar_lambda_mode():
         assert np.allclose(row[i], row[i][0])
 
 
+def _chain_mix(e_seq, x, d, lam):
+    """The blend of `mix` as the chain of taped ops that `mix` once ran,
+    kept here as the reference for its forward and gradient bytes."""
+    b, _, dim = e_seq.shape
+    return add(e_seq, mul(Tensor(lam), add(reshape(x, (b, 1, dim)), Tensor(d.reshape(b, 1, dim)))))
+
+
 @pytest.mark.parametrize("streams", ["one", "per-row"])
 @pytest.mark.parametrize("scalar_lambda", [False, True])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])
 def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_lambda,
                                                      streams, monkeypatch):
-    # with nothing recording, `mix` blends on plain arrays and calls no
-    # tensor op; under a tape with the item table tracked it takes the ops
+    # `mix` blends on plain arrays and calls no tensor op; under a tape it is
+    # one node, with the forward and gradient bytes of the taped op chain
     calls = []
     for op in ("add", "mul"):
         monkeypatch.setattr(model_mod, op,
@@ -101,14 +108,14 @@ def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_
         mask = (np.arange(6) < lengths[:, None]).astype(float)
         hist = np.where(mask > 0, items, 0)
         x = np.random.default_rng(1).normal(size=(4, cfg.dim))  # float64, as the reversal's
+        d = step_embedding_batch([3, 1, 4, 1], cfg.dim)
 
         def rng():
             return RngStream(7) if streams == "one" else [RngStream(s) for s in (7, 8, 9, 10)]
 
         def call():
             e_seq = embedding_lookup(model.params["item_emb"], hist)
-            z = mix(e_seq, x, step_embedding_batch([3, 1, 4, 1], cfg.dim), cfg.delta, rng(),
-                    scalar_lambda)
+            z = mix(e_seq, x, d, cfg.delta, rng(), scalar_lambda)
             # eval rows are unpadded
             return z, model.reconstruct(items, np.ones((4, 6)), x, [3, 1, 4, 1], rng(),
                                         train_mode=False)
@@ -118,9 +125,26 @@ def test_untaped_mix_has_the_bytes_of_the_taped_mix(approximator, dtype, scalar_
         with Tape() as tape:
             taped_z, taped_recon = call()
             assert len(tape) > 0
-        assert calls and taped_z.requires_grad  # the taped path ran and recorded the ops
+        assert calls == [] and taped_z.requires_grad
         assert z.data.tobytes() == taped_z.data.tobytes()
         assert recon.data.tobytes() == taped_recon.data.tobytes()
+
+        lam_shape = (6, 1) if scalar_lambda else (6, cfg.dim)
+        std = np.sqrt(cfg.delta)
+        lam = (rng().gaussian((4, *lam_shape), mean=cfg.delta, std=std) if streams == "one"
+               else gaussian_rows(rng(), lam_shape, cfg.delta, std))
+        e_data = embedding_lookup(model.params["item_emb"], hist).data
+        weights = Tensor(np.random.default_rng(3).normal(size=z.shape))
+        results = []
+        for blend in (lambda e, xt: mix(e, xt, d, cfg.delta, rng(), scalar_lambda),
+                      lambda e, xt: _chain_mix(e, xt, d, lam)):
+            e_seq, x_leaf = Tensor(e_data, requires_grad=True), Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                out = blend(e_seq, x_leaf)
+                backward(tape, sum_all(mul(out, weights)))
+            results.append([a.tobytes() for a in (out.data, e_seq.grad, x_leaf.grad)])
+        assert results[0] == results[1]
+        assert results[0][0] == z.data.tobytes()
     finally:
         set_default_dtype(np.float64)
 

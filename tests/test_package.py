@@ -151,3 +151,19 @@ def test_every_bench_hook_is_called_by_a_short_pipeline(tmp_path):
     assert sorted(set(tracing.SPANS.values()) - called) == []
     assert silent_ops == {}
     assert [a for a, n in tape_nodes.items() if n == 0] == []
+
+
+def test_only_the_tape_and_record_read_the_tape_stack():
+    # `record` is the one place that decides whether an op is recorded; an op
+    # or a forward that looked at the active tape itself would be a second one.
+    readers = []
+    for path in sorted((ROOT / "src" / "seqdiff").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, node) for node in tree.body]
+        scopes += [(f"{path.stem}.{cls.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for owner, node in scopes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Name) and n.id == "_TAPE_STACK" for n in ast.walk(node)):
+                readers.append(f"{owner}.{node.name}")
+    assert sorted(readers) == ["tensor.Tape.__enter__", "tensor.Tape.__exit__", "tensor.record"]

@@ -1,7 +1,9 @@
+import ast
 import gc
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,13 +142,13 @@ def test_backward_accumulates_shared_inputs():
 
 def test_split_records_its_one_node_through_record(monkeypatch):
     recorded = []
-    original = tensor_module._record
+    original = tensor_module.record
 
     def spy(out, inputs, backward_fn):
         recorded.append(out)
-        original(out, inputs, backward_fn)
+        return original(out, inputs, backward_fn)
 
-    monkeypatch.setattr(tensor_module, "_record", spy)
+    monkeypatch.setattr(tensor_module, "record", spy)
     x = Tensor(np.ones((2, 4)), requires_grad=True)
     with Tape() as tape:
         parts = split(x, (1, 3))
@@ -452,6 +454,47 @@ def test_ops_outside_tape_do_not_track():
     x = Tensor(np.ones(3), requires_grad=True)
     y = mul(x, x)
     assert not y.requires_grad
+
+
+_UNTRACKED_CALLS = {
+    "add": lambda x: add(x, x),
+    "scale": lambda x: scale(x, 2.0),
+    "mul": lambda x: mul(x, x),
+    "matmul": lambda x: matmul(x, Tensor(np.ones((4, 2)))),
+    "transpose": lambda x: transpose(x, (0, 2, 1)),
+    "reshape": lambda x: reshape(x, (6, 4)),
+    "relu": relu,
+    "sigmoid": sigmoid,
+    "tanh": tanh,
+    "softmax": softmax,
+    "layer_norm": lambda x: layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
+    "embedding_lookup": lambda x: embedding_lookup(Tensor(np.ones((5, 4))), np.array([[1, 4]])),
+    "gather_rows": lambda x: gather_rows(x, np.array([0, 2])),
+    "stack": lambda x: stack([x, x]),
+    "split": lambda x: split(x, (1, 3)),
+    "dropout": lambda x: dropout(x, 0.5, RngStream(0)),
+    "cross_entropy_rows": lambda x: cross_entropy_rows(Tensor(np.ones((2, 5))), np.array([1, 3])),
+}
+
+
+def test_every_op_returns_through_record():
+    tree = ast.parse(Path(tensor_module.__file__).read_text())
+    ops = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+           and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "record"
+                   for n in ast.walk(f))}
+    assert ops == set(_UNTRACKED_CALLS)
+
+
+@pytest.mark.parametrize("op", sorted(_UNTRACKED_CALLS))
+def test_an_op_on_untracked_inputs_records_nothing(op):
+    # once with no tape and once under a tape that tracks none of the inputs
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
+    outs = [_UNTRACKED_CALLS[op](x)]
+    with Tape() as tape:
+        outs.append(_UNTRACKED_CALLS[op](x))
+    assert len(tape) == 0
+    for out in outs:
+        assert not any(o.requires_grad for o in (out if type(out) is tuple else (out,)))
 
 
 def test_backward_diamond_graph_visits_nodes_once():
