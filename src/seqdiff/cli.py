@@ -72,13 +72,13 @@ def _cmd_train(args) -> int:
 
 
 def _parse_sequence(text: str) -> list[int]:
+    """Comma-separated items; an empty field is refused, not skipped."""
+    if not text.strip():
+        raise ValueError("item sequence is empty")
     try:
-        items = [parse_number(tok) for tok in text.split(",") if tok.strip()]
+        return [parse_number(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse item sequence {text!r}") from None
-    if not items:
-        raise ValueError("item sequence is empty")
-    return items
 
 
 def _cmd_infer(args) -> int:
@@ -103,13 +103,12 @@ def _cmd_eval(args) -> int:
     samples = {"train": splits.train, "valid": splits.valid,
                "test": splits.test}[args.split]
     scorer = build_scorer(ckpt, steps=args.steps)
-    records = rank_records(scorer, samples, RngStream(args.seed),
-                           mask_history=args.mask_history)
-    reports = [report_from_ranks([r.rank for r in records])]
+    ranks = rank_records(scorer, samples, RngStream(args.seed), mask_history=args.mask_history)
+    reports = [report_from_ranks(ranks)]
     if args.head_tail:
-        reports.extend(head_tail_report(records, splits.train_freqs, dataset.n_items))
+        reports.extend(head_tail_report(samples, ranks, splits.train_freqs, dataset.n_items))
     if args.length_buckets:
-        reports.extend(length_bucket_report(records))
+        reports.extend(length_bucket_report(samples, ranks))
     print(report_table(reports))
     if args.out:
         Path(args.out).write_text("\n".join(report_csv_rows(reports)) + "\n")
@@ -128,7 +127,7 @@ def _cmd_probe(args) -> int:
         fh.write("seed," + ",".join(f"x{i}" for i in range(vectors.shape[1])) + "\n")
         for j, vec in enumerate(vectors):
             fh.write(f"{args.seed + j}," + ",".join(f"{v:.12g}" for v in vec) + "\n")
-    print(f"unique items in top-{probe.k} across {probe.n_reverses} reversals: "
+    print(f"unique items in top-{args.topk} across {args.n} reversals: "
           f"{probe.unique_item_count}")
     print(f"wrote reversed vectors to {args.out}")
     return 0

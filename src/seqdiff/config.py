@@ -25,6 +25,7 @@ MAX_BLOCKS_LIMIT = 100
 # gradients, Adam's two moments and its two scratch buffers. At 50 M
 # parameters that is 2.4 GB; the paper-default Beauty model has about 2.4 M.
 MAX_PARAMS = 50_000_000
+SCHEDULE_KINDS = ("truncated-linear", "linear", "cosine", "sqrt")
 
 
 @dataclass
@@ -81,6 +82,7 @@ class TrainConfig:
         if not 1 <= self.t <= MAX_T_LIMIT:
             raise ValueError(f"t must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), "
                              f"got {self.t}")
+        check_schedule(self.schedule_kind, self.schedule_a, self.schedule_b, self.schedule_tau)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -117,6 +119,20 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
         return self
+
+
+def check_schedule(kind: str, a: float, b: float, tau: float) -> None:
+    """Refuse an unknown schedule family, a non-finite option, or a, b or tau
+    away from its `TrainConfig` default on a family other than
+    truncated-linear, which alone reads them."""
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
+    for name, value in (("a", a), ("b", b), ("tau", tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"schedule option {name}={value!r} must be finite")
+        if kind != "truncated-linear" and value != getattr(TrainConfig, f"schedule_{name}"):
+            raise ValueError(f"schedule option {name}={value!r} applies only to "
+                             f"truncated-linear, not {kind}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}

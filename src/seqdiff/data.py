@@ -175,11 +175,18 @@ def split(dataset: SequenceDataset) -> DatasetSplits:
 
     Training supervises only the final position of the prefix that excludes
     the validation and test targets, so it needs at least one history item
-    before that; shorter prefixes are skipped.
+    before that; shorter prefixes are skipped. Every item must be in
+    [1, n_items]: the first one that is not is named, with its sequence,
+    before anything is built.
     """
+    n_items = dataset.n_items
+    for i, seq in enumerate(dataset.sequences):
+        if seq and not (1 <= min(seq) and max(seq) <= n_items):
+            bad = next(item for item in seq if not 1 <= item <= n_items)
+            raise ValueError(f"sequence {i}: item {bad} is outside [1, {n_items}]")
     train, valid, test = [], [], []
     n_excluded = 0
-    freqs = np.zeros(dataset.n_items + 1)
+    freqs = np.zeros(n_items + 1)
     for seq in dataset.sequences:
         if len(seq) < 3:
             n_excluded += 1

@@ -51,10 +51,10 @@ def reverse_step(x_s: np.ndarray, x0_hat: np.ndarray, s: int,
     itself, not its square root. At s=1 the posterior degenerates to x0_hat."""
     if x_s.shape != x0_hat.shape:
         raise ValueError(f"shape mismatch: x_s {x_s.shape} vs x0_hat {x0_hat.shape}")
-    post = posterior(schedule, s)  # validates the step range
+    coef_x0, coef_xs, beta_tilde = posterior(schedule, s)  # validates the step range
     if s == 1:
         return x0_hat.copy()
-    return post.coef_x0 * x0_hat + post.coef_xs * x_s + post.beta_tilde * eps_prime
+    return coef_x0 * x0_hat + coef_xs * x_s + beta_tilde * eps_prime
 
 
 def sample_steps(t: int, size: int | None, rng: RngStream):

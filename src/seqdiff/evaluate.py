@@ -22,16 +22,7 @@ MAX_REVERSALS = 100_000  # most reversals one probe takes; each holds a stream a
 
 
 @dataclass(frozen=True)
-class RankRecord:
-    target: int
-    rank: int
-    hist_len: int
-
-
-@dataclass(frozen=True)
 class UncertaintyProbe:
-    n_reverses: int
-    k: int
     unique_item_count: int
 
 
@@ -46,8 +37,9 @@ def target_rank(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
-                 mask_history: bool = False) -> list[RankRecord]:
-    """Rank each sample's target in one batch; sample i uses rng_base.derive(i).
+                 mask_history: bool = False) -> list[int]:
+    """The 1-based rank of each sample's target, in sample order, from one
+    batch; sample i uses rng_base.derive(i).
 
     Every target must be in [1, n_items]. `mask_history` drops every item of
     the full history (not only the scorer's truncation window) from the
@@ -74,15 +66,12 @@ def rank_records(scorer: Scorer, samples: list[Sample], rng_base: RngStream,
             if seen:
                 scores[tuple(zip(*seen))] = -np.inf
         ranks.extend(target_rank(scores, targets[a:a + ROWS_PER_CALL]).tolist())
-    return [RankRecord(target=s.target, rank=rank, hist_len=len(s.history))
-            for s, rank in zip(samples, ranks)]
+    return ranks
 
 
-def evaluate(scorer: Scorer, samples: list[Sample], seed: int,
-             ks=DEFAULT_KS, mask_history: bool = False) -> EvalReport:
+def evaluate(scorer: Scorer, samples: list[Sample], seed: int, ks=DEFAULT_KS) -> EvalReport:
     """Mean HR@K / NDCG@K of a scorer over an evaluation split."""
-    records = rank_records(scorer, samples, RngStream(seed), mask_history)
-    return report_from_ranks([r.rank for r in records], ks=ks)
+    return report_from_ranks(rank_records(scorer, samples, RngStream(seed)), ks=ks)
 
 
 def head_items(train_freqs: np.ndarray, n_items: int) -> set[int]:
@@ -90,27 +79,28 @@ def head_items(train_freqs: np.ndarray, n_items: int) -> set[int]:
     return set(rank_items(train_freqs[: n_items + 1])[: int(0.2 * n_items)].tolist())
 
 
-def head_tail_report(records: list[RankRecord], train_freqs: np.ndarray,
+def head_tail_report(samples: list[Sample], ranks: list[int], train_freqs: np.ndarray,
                      n_items: int, ks=DEFAULT_KS) -> tuple[EvalReport, EvalReport]:
-    """Split ranked targets by head/long-tail membership of the target item."""
+    """Split the samples' ranks by head/long-tail membership of the target item."""
     head = head_items(train_freqs, n_items)
-    head_ranks = [r.rank for r in records if r.target in head]
-    tail_ranks = [r.rank for r in records if r.target not in head]
+    head_ranks = [r for s, r in zip(samples, ranks, strict=True) if s.target in head]
+    tail_ranks = [r for s, r in zip(samples, ranks, strict=True) if s.target not in head]
     return (report_from_ranks(head_ranks, ks=ks, label="head"),
             report_from_ranks(tail_ranks, ks=ks, label="tail"))
 
 
-def length_bucket_report(records: list[RankRecord], ks=DEFAULT_KS) -> list[EvalReport]:
-    """Five reports cut at the 20/40/60/80 length percentiles (short to long)."""
-    if len(records) < 5:
+def length_bucket_report(samples: list[Sample], ranks: list[int],
+                         ks=DEFAULT_KS) -> list[EvalReport]:
+    """The samples' ranks in five reports, cut at the 20/40/60/80 percentiles
+    of their history lengths (short to long)."""
+    if len(samples) < 5:
         warnings.warn("fewer than 5 sequences; falling back to a single bucket")
-        return [report_from_ranks([r.rank for r in records], ks=ks, label="all-lengths")]
-    lengths = np.array([r.hist_len for r in records])
+        return [report_from_ranks(ranks, ks=ks, label="all-lengths")]
+    lengths = [len(s.history) for s in samples]
     bounds = np.percentile(lengths, [20, 40, 60, 80], method="lower")
     buckets: list[list[int]] = [[] for _ in range(5)]
-    for r in records:
-        idx = int(np.searchsorted(bounds, r.hist_len, side="left"))
-        buckets[idx].append(r.rank)
+    for length, rank in zip(lengths, ranks, strict=True):
+        buckets[int(np.searchsorted(bounds, length, side="left"))].append(rank)
     labels = ["len_q1", "len_q2", "len_q3", "len_q4", "len_q5"]
     return [report_from_ranks(b, ks=ks, label=lab) for b, lab in zip(buckets, labels)]
 
@@ -136,9 +126,7 @@ def uncertainty_probe(scorer: Scorer, sequence, n_reverses: int = 100,
         raise ValueError(f"top-k {k} exceeds the catalogue's {scorer.n_items} items")
     tops = [rank_items(scorer.score_vector(vectors[a:a + ROWS_PER_CALL]))[:, :k]
             for a in range(0, n_reverses, ROWS_PER_CALL)]
-    probe = UncertaintyProbe(n_reverses=n_reverses, k=k,
-                             unique_item_count=len(np.unique(np.concatenate(tops))))
-    return probe, vectors
+    return UncertaintyProbe(len(np.unique(np.concatenate(tops)))), vectors
 
 
 class PopularityScorer(Scorer):

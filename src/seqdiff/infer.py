@@ -1,13 +1,16 @@
 """Inference: iterative reversal from noise, then scoring and ranking every item.
 
-Scorers share one contract: `represent_batch(histories, rngs)` gives a (B, dim)
-block, one target representation per history and stream (`represent` is the
-one-row case), and `score_vector` turns it into (B, V+1) item scores by inner
-product against the embedding table (column 0, padding, pinned to -inf). The
-diffusion scorer reverses a Gaussian sample through the trained approximator;
-the next-item scorer (adversarial baseline) encodes the history once. Rows run
-in unpadded groups of one length and each is scored by its own product, so a
-row's bytes do not depend on the rows batched with it.
+Scorers share one contract: `n_items` is the catalogue size V,
+`represent_batch(histories, rngs)` gives a (B, dim) block, one target
+representation per history and stream, and `score_vector` turns it into a fresh
+(B, V+1) block of item scores (column 0, padding, pinned to -inf) that callers
+may overwrite. `Scorer.score` scores one history through `represent`, the
+one-row case, which a scorer used that way defines. The model scorers score by
+inner product against the embedding table. The diffusion scorer reverses a
+Gaussian sample through the trained approximator; the next-item scorer
+(adversarial baseline) encodes the history once. Rows run in unpadded groups
+of one length and each is scored by its own product, so a row's bytes do not
+depend on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .diffusion import reverse_step
 from .model import Approximator
 from .rng import RngStream, gaussian_rows
 from .schedule import build_schedule, respace
+from .tensor import embedding_lookup
 
 ROWS_PER_CALL = 256  # most histories one approximator call takes; bounds memory
 
@@ -37,16 +41,9 @@ def rank_items(scores) -> np.ndarray:
 
 
 class Scorer:
-    """Common surface for ranking models and reference baselines."""
+    """Common surface for ranking models and reference baselines (see the module docstring)."""
 
     n_items: int
-
-    def represent(self, history, rng: RngStream) -> np.ndarray:
-        raise NotImplementedError
-
-    def score_vector(self, vecs: np.ndarray) -> np.ndarray:
-        """(B, dim) representations -> fresh (B, n_items + 1) scores, column 0 = -inf."""
-        raise NotImplementedError
 
     def score(self, history, rng: RngStream) -> np.ndarray:
         return self.score_vector(self.represent(history, rng)[None])[0]
@@ -137,7 +134,8 @@ class NextItemScorer(_EmbeddingScorer):
         return self.represent_batch([history], [rng])[0]
 
     def _represent_rows(self, hist: np.ndarray, rngs: list) -> np.ndarray:
-        return self.model.encode_history(hist, np.ones(hist.shape), train_mode=False).data
+        table = self.model.params["item_emb"]
+        return self.model.forward(embedding_lookup(table, hist), np.ones(hist.shape), False).data
 
 
 def build_scorer(ckpt: ModelCheckpoint, steps: int | None = None) -> Scorer:

@@ -332,10 +332,3 @@ class Approximator:
         d = step_embedding_batch(steps, self.cfg.dim)
         z = mix(e_seq, x, d, self.cfg.delta, rng, self.cfg.lambda_scalar)
         return self.forward(z, mask, train_mode, rng)
-
-    def encode_history(self, hist: np.ndarray, mask: np.ndarray,
-                       train_mode: bool, rng: RngStream | None = None,
-                       item_table: Tensor | None = None) -> Tensor:
-        """Plain next-item encoding (no mixing); used by the adversarial mode."""
-        table = self.params["item_emb"] if item_table is None else item_table
-        return self.forward(embedding_lookup(table, hist), mask, train_mode, rng)

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_T_LIMIT, TrainConfig
-
-KINDS = ("truncated-linear", "linear", "cosine", "sqrt")
+from .config import MAX_T_LIMIT, TrainConfig, check_schedule
 
 _MAX_BETA = 0.999
 
@@ -53,13 +51,6 @@ class NoiseSchedule:
         return 1.0 - float(self.betas[0])
 
 
-@dataclass(frozen=True)
-class PosteriorCoeffs:
-    coef_x0: float
-    coef_xs: float
-    beta_tilde: float
-
-
 def _betas_from_alpha_bar_fn(fn, t: int) -> np.ndarray:
     betas = np.empty(t)
     prev = fn(0.0)
@@ -79,14 +70,7 @@ def build_schedule(kind: str, t: int, a: float = TrainConfig.schedule_a,
     """Construct and validate a schedule of the given family and horizon."""
     if not 1 <= t <= MAX_T_LIMIT:
         raise ValueError(f"horizon must be in [1, {MAX_T_LIMIT}] (config.MAX_T_LIMIT), got {t}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}; expected one of {KINDS}")
-    for name, value in (("a", a), ("b", b), ("tau", tau)):
-        if not math.isfinite(value):
-            raise ValueError(f"schedule option {name}={value!r} must be finite")
-        if kind != "truncated-linear" and value != getattr(TrainConfig, f"schedule_{name}"):
-            raise ValueError(f"schedule option {name}={value!r} applies only to "
-                             f"truncated-linear, not {kind}")
+    check_schedule(kind, a, b, tau)
     if kind == "truncated-linear":
         s = np.arange(1, t + 1, dtype=float)
         raw = (a / t) * s + b / s
@@ -138,12 +122,12 @@ def respace(schedule: NoiseSchedule, steps) -> NoiseSchedule:
     return schedule_from_betas(schedule.kind, 1.0 - ab / np.concatenate(([1.0], ab[:-1])))
 
 
-def posterior(schedule: NoiseSchedule, s: int) -> PosteriorCoeffs:
-    """Row s of the schedule's one-step reverse posterior."""
+def posterior(schedule: NoiseSchedule, s: int) -> tuple[float, float, float]:
+    """Row s of the schedule's one-step reverse posterior: (coef_x0, coef_xs, beta_tilde)."""
     if not 1 <= s <= schedule.t:
         raise ValueError(f"step {s} out of range [1, {schedule.t}]")
-    return PosteriorCoeffs(float(schedule.coef_x0[s - 1]), float(schedule.coef_xs[s - 1]),
-                           float(schedule.beta_tilde[s - 1]))
+    return (float(schedule.coef_x0[s - 1]), float(schedule.coef_xs[s - 1]),
+            float(schedule.beta_tilde[s - 1]))
 
 
 def dump_schedule_csv(schedule: NoiseSchedule, path) -> None:

@@ -75,8 +75,8 @@ def _assemble(samples: list[Sample], idx: np.ndarray, max_len: int):
 def _validation_ndcg10(scorer, samples, rng_base: RngStream) -> float:
     # position-sensitive, so it keeps improving while top-1 accuracy does;
     # a hit-rate signal saturates long before convergence on easy data
-    records = rank_records(scorer, samples, rng_base)
-    return float(np.mean([metric_single(r.rank, 10)[1] for r in records]))
+    ranks = rank_records(scorer, samples, rng_base)
+    return float(np.mean([metric_single(rank, 10)[1] for rank in ranks]))
 
 
 def _fit(splits: DatasetSplits, cfg: TrainConfig, model: Approximator,
@@ -216,14 +216,13 @@ def _adversarial_step(model: Approximator, adam: Adam, cfg: TrainConfig,
         nonlocal delta
         drop_seed = int(train_rng.integers(0, 2**62))
         with Tape() as tape:
-            h = model.encode_history(hist, mask, train_mode=True,
-                                     rng=RngStream(drop_seed))
+            h = model.forward(embedding_lookup(item_emb, hist), mask, True,
+                              RngStream(drop_seed))
             base = loss_batch(h, targets, item_emb)
             delta_t = Tensor(delta, requires_grad=True)
             shifted = add(item_emb, delta_t)
-            h_adv = model.encode_history(hist, mask, train_mode=True,
-                                         rng=RngStream(drop_seed),
-                                         item_table=shifted)
+            h_adv = model.forward(embedding_lookup(shifted, hist), mask, True,
+                                  RngStream(drop_seed))
             perturbed = loss_batch(h_adv, targets, shifted)
             total = add(base, scale(perturbed, cfg.gamma_adv))
             base_val = base.item()

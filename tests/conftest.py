@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqdiff.config import TrainConfig
+from seqdiff.evaluate import PopularityScorer
 from seqdiff.rng import RngStream
 from seqdiff.tensor import Tensor, record
 
@@ -24,6 +25,24 @@ def markov_transition_matrix(n_items: int, seed: int) -> np.ndarray:
     for i in range(n_items):
         mat[i, dominant[i] - 1] = 0.8
     return mat
+
+
+def reference_ranks(scorer, samples, rng_base, mask_history=False) -> list[int]:
+    """`rank_records` as a per-row loop: represent, score, mask and rank one
+    sample at a time."""
+    ranks = []
+    for i, sample in enumerate(samples):
+        vec = scorer.represent(sample.history, rng_base.derive(i))
+        if isinstance(scorer, PopularityScorer):
+            scores = np.array(vec, dtype=float)
+        else:
+            scores = scorer.model.params["item_emb"].data @ vec
+        scores[0] = -np.inf
+        if mask_history:
+            scores[[it for it in set(sample.history) if it != sample.target]] = -np.inf
+        s_t = scores[sample.target]
+        ranks.append(1 + int(np.sum(scores > s_t)) + int(np.sum(scores[1:sample.target] == s_t)))
+    return ranks
 
 
 def format_config(cfg: TrainConfig) -> str:

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import desk_config, finite_diff_grad, max_rel_error
 from seqdiff.checkpoint import model_from_checkpoint
+from seqdiff.config import SCHEDULE_KINDS
 from seqdiff.data import ingest, preprocess, split, synth
 from seqdiff.diffusion import embed_to_x0, q_sample, reverse_step
 from seqdiff.evaluate import (PopularityScorer, evaluate, uncertainty_probe)
@@ -22,7 +23,7 @@ from seqdiff.infer import DiffusionScorer, NextItemScorer
 from seqdiff.metrics import metric_single
 from seqdiff.model import Approximator, init_params
 from seqdiff.rng import RngStream
-from seqdiff.schedule import KINDS, build_schedule
+from seqdiff.schedule import build_schedule
 from seqdiff.tensor import Tape, Tensor, backward, embedding_lookup
 from seqdiff.train import loss_batch, run_training
 
@@ -219,7 +220,7 @@ def test_criterion_07_schedule_shapes():
     start = time.perf_counter()
     checks = []
     t = 32
-    schedules = {kind: build_schedule(kind, t=t) for kind in KINDS}
+    schedules = {kind: build_schedule(kind, t=t) for kind in SCHEDULE_KINDS}
     for kind, sch in schedules.items():
         bars = np.concatenate([[1.0], sch.alpha_bars])
         checks.append((f"{kind}: beta in (0,1)",

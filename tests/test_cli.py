@@ -15,11 +15,16 @@ import pytest
 from seqdiff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from seqdiff.cli import main
 from seqdiff.config import TrainConfig
-from seqdiff.data import save_processed, synth
+from seqdiff.data import SequenceDataset, load_processed, save_processed, split, synth
+from seqdiff.evaluate import head_items
+from seqdiff.infer import build_scorer
+from seqdiff.metrics import report_csv_rows, report_from_ranks
 from seqdiff.model import param_shapes
+from seqdiff.rng import RngStream
 from seqdiff.schedule import build_schedule, dump_schedule_csv
 from seqdiff.train import run_training
-from conftest import desk_config, format_config, replace_metadata, with_metadata
+from conftest import (desk_config, format_config, reference_ranks, replace_metadata,
+                      with_metadata)
 
 
 @pytest.fixture
@@ -123,6 +128,34 @@ def test_eval_command_with_breakdowns(tmp_path, synth_dir, trained_ckpt, capsys)
     buckets = {row.split(",")[3] for row in rows[1:]}
     assert {"all", "head", "tail"}.issubset(buckets)
     assert any(b.startswith("len_q") for b in buckets)
+
+
+def test_eval_report_values_equal_the_per_row_reference(tmp_path, trained_ckpt):
+    # cyclic runs of 3 to 12 items over the checkpoint's 15, so every length
+    # bucket and both head and tail hold targets
+    data = tmp_path / "varied"
+    save_processed(SequenceDataset([[(u + j) % 15 + 1 for j in range(3 + u % 10)]
+                                    for u in range(50)], [str(i) for i in range(1, 16)]), data)
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", str(trained_ckpt), "--data", str(data), "--steps", "3",
+                 "--seed", "5", "--head-tail", "--length-buckets", "--mask-history",
+                 "--out", str(report)]) == 0
+    splits = split(load_processed(data))
+    samples = splits.test
+    ranks = reference_ranks(build_scorer(load_checkpoint(trained_ckpt), steps=3), samples,
+                            RngStream(5), mask_history=True)
+    head = head_items(splits.train_freqs, 15)
+    lengths = [len(s.history) for s in samples]
+    bounds = np.percentile(lengths, [20, 40, 60, 80], method="lower")
+    # bucket q holds the lengths in (bounds[q - 1], bounds[q]]
+    bucket = [int(np.sum(bounds < length)) for length in lengths]
+    groups = [("all", [True] * len(samples)), ("head", [s.target in head for s in samples]),
+              ("tail", [s.target not in head for s in samples])]
+    groups += [(f"len_q{q + 1}", [b == q for b in bucket]) for q in range(5)]
+    expected = [report_from_ranks([r for r, member in zip(ranks, members) if member],
+                                  label=label) for label, members in groups]
+    assert all(rep.n_evaluated for rep in expected)
+    assert report.read_text().splitlines() == report_csv_rows(expected)
 
 
 def test_eval_mask_history_flag(synth_dir, trained_ckpt):
@@ -248,6 +281,8 @@ _EXPECTED_ERRORS = {
     "synth-users-1_0": "seqdiff synth: argument --users: invalid int value: '1_0'\n",
     "infer-steps-plus": "seqdiff infer: argument --steps: invalid int value: '+1'\n",
     "infer-sequence-plus": "seqdiff infer: cannot parse item sequence '1,+2'\n",
+    "infer-sequence-empty-field": "seqdiff infer: cannot parse item sequence '1,,2'\n",
+    "infer-sequence-trailing-comma": "seqdiff infer: cannot parse item sequence '1,2,'\n",
 }
 # one file of a dataset of 15 items replaced; the fault's first word names it
 _BAD_FILES = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\xff\n",
@@ -274,7 +309,8 @@ _BAD_FILES = {"sequences-not-utf8": b"1 2 3\n\xff 2\n", "vocab-not-utf8": b"1\t\
                                    "ckpt-trailing-bytes", "ckpt-cut-in-metadata", "ckpt-odd-dim",
                                    *_BAD_FILES, "out-synth-empty", "out-preprocess-empty",
                                    "out-eval-empty", "synth-users-1_0", "infer-steps-plus",
-                                   "infer-sequence-plus"])
+                                   "infer-sequence-plus", "infer-sequence-empty-field",
+                                   "infer-sequence-trailing-comma"])
 def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt, fault,
                                                capsys, monkeypatch):
     ckpt_path = tmp_path / "bad.ckpt"
@@ -318,8 +354,9 @@ def test_bad_user_input_is_one_line_and_exit_2(tmp_path, synth_dir, trained_ckpt
         argv += ["--steps", str(load_checkpoint(trained_ckpt).config.t + 1)]
     elif fault == "bad-sequence":
         argv[-1] = "1,x"
-    elif fault == "infer-sequence-plus":
-        argv[-1] = "1,+2"
+    elif fault.startswith("infer-sequence-"):
+        argv[-1] = {"plus": "1,+2", "empty-field": "1,,2",
+                    "trailing-comma": "1,2,"}[fault[len("infer-sequence-"):]]
     elif fault == "infer-steps-plus":
         argv += ["--steps", "+1"]
     elif fault == "synth-users-1_0":

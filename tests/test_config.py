@@ -153,6 +153,17 @@ def test_validate_caps_blocks_and_names_the_ceiling():
         parse_config(f"blocks = {MAX_BLOCKS_LIMIT + 1}")
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("schedule_kind = cosin", "unknown schedule kind 'cosin'"),
+    ("schedule_kind = cosine\nschedule_tau = 0.5",
+     "schedule option tau=0.5 applies only to truncated-linear, not cosine")])
+def test_a_schedule_that_cannot_be_built_is_refused_in_every_mode(lines, message):
+    # the adversarial mode builds no schedule, so only the config check sees these
+    for mode in ("adversarial", "diffusion"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(f"mode = {mode}\n{lines}\n")
+
+
 def test_validate_caps_t_and_names_the_ceiling():
     # every reversal and every schedule holds t rows, built at setup
     assert TrainConfig(t=MAX_T_LIMIT).validate().t == MAX_T_LIMIT

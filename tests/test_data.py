@@ -1,13 +1,15 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, InteractionRecord, ingest,
-                          load_processed, parse_number, preprocess, save_processed, split,
-                          synth)
-from conftest import markov_transition_matrix
+from seqdiff.data import (MAX_SYNTH_ACTIONS, MAX_SYNTH_ITEMS, InteractionRecord,
+                          SequenceDataset, ingest, load_processed, parse_number, preprocess,
+                          save_processed, split, synth)
+from seqdiff.train import run_training
+from conftest import desk_config, markov_transition_matrix
 
 
 def _write(tmp_path, text):
@@ -157,6 +159,18 @@ def test_split_excludes_short_sequences_with_count():
         splits = split(ds)
     assert len(splits.train) == len(splits.valid) == len(splits.test) == 1
     assert splits.test[0].target == 4
+
+
+@pytest.mark.parametrize("item", [7, 0, -1])
+def test_split_refuses_an_item_outside_the_vocabulary(item):
+    # 7 used to index past the frequency table, 0 trained on the padding row
+    # and -1 counted as the last item until the embedding lookup failed
+    dataset = SequenceDataset([[1, 2, 1, 2, 1], [1, 2, item, 1, 2, 9]] * 3, ["a", "b"])
+    message = re.escape(f"sequence 1: item {item} is outside [1, 2]")
+    with pytest.raises(ValueError, match=message):
+        split(dataset)
+    with pytest.raises(ValueError, match=message):
+        run_training(dataset, desk_config(dim=8, blocks=1, heads=2, t=2, epochs=1))
 
 
 def test_split_targets_not_in_train_supervision():

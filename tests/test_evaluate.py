@@ -3,9 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import desk_config, reference_ranks
 from seqdiff.data import Sample, split, synth
-from seqdiff.evaluate import (PopularityScorer, RankRecord, evaluate,
+from seqdiff.evaluate import (PopularityScorer, evaluate,
                               head_items, head_tail_report,
                               length_bucket_report, rank_records, target_rank,
                               uncertainty_probe)
@@ -61,25 +61,6 @@ def test_target_rank_is_one_plus_the_position_in_rank_items():
     assert target_rank(scores, targets).tolist() == (1 + position).tolist()
 
 
-def _reference_rank_records(scorer, samples, rng_base, mask_history):
-    """The per-row loop: represent, score, mask and rank one sample at a time."""
-    records = []
-    for i, sample in enumerate(samples):
-        vec = scorer.represent(sample.history, rng_base.derive(i))
-        if isinstance(scorer, PopularityScorer):
-            scores = np.array(vec, dtype=float)
-        else:
-            scores = scorer.model.params["item_emb"].data @ vec
-        scores[0] = -np.inf
-        if mask_history:
-            scores[[it for it in set(sample.history) if it != sample.target]] = -np.inf
-        s_t = scores[sample.target]
-        rank = 1 + int(np.sum(scores > s_t)) + int(np.sum(scores[1:sample.target] == s_t))
-        records.append(RankRecord(target=sample.target, rank=rank,
-                                  hist_len=len(sample.history)))
-    return records
-
-
 def _repeating_samples(n_items, n=23):
     # half the rows draw from items 1..5, so histories repeat items and
     # often hold their own target; lengths past max_len = 8 are truncated
@@ -110,7 +91,8 @@ def test_rank_records_equals_the_per_row_reference(scorer_kind, mask_history, mo
     samples = _repeating_samples(n_items)
     monkeypatch.setattr(evaluate_mod, "ROWS_PER_CALL", 5)  # chunks of 5, 5, ..., 3
     got = rank_records(scorer, samples, RngStream(8), mask_history)
-    assert got == _reference_rank_records(scorer, samples, RngStream(8), mask_history)
+    assert got == reference_ranks(scorer, samples, RngStream(8), mask_history)
+    assert all(type(rank) is int for rank in got)
 
 
 def test_oracle_scorer_gets_perfect_metrics():
@@ -159,11 +141,11 @@ def test_mask_history_excludes_seen_items_but_not_target():
     plain = rank_records(scorer, [Sample((2, 3), 1)], RngStream(0))
     masked = rank_records(scorer, [Sample((2, 3), 1)], RngStream(0),
                           mask_history=True)
-    assert plain[0].rank == 2
-    assert masked[0].rank == 1  # items 2 and 3 drop out of the candidates
+    assert plain[0] == 2
+    assert masked[0] == 1  # items 2 and 3 drop out of the candidates
     repeat = rank_records(scorer, [Sample((2, 3), 2)], RngStream(0),
                           mask_history=True)
-    assert repeat[0].rank == 1  # the target itself is never masked
+    assert repeat[0] == 1  # the target itself is never masked
 
 
 @pytest.mark.parametrize("item", [99, -1, 0])
@@ -171,7 +153,7 @@ def test_mask_history_rejects_an_unknown_item_before_the_window(item):
     cfg = desk_config(dim=16, blocks=1, heads=2, t=2, max_len=10)
     scorer = DiffusionScorer(Approximator(init_params(50, cfg, RngStream(4)), cfg))
     sample = Sample((item,) + (1,) * 12, 2)  # the window holds only the 1s
-    assert rank_records(scorer, [sample], RngStream(0))[0].rank >= 1
+    assert rank_records(scorer, [sample], RngStream(0))[0] >= 1
     with pytest.raises(ValueError, match=f"history item {item} is outside"):
         rank_records(scorer, [sample], RngStream(0), mask_history=True)
 
@@ -199,11 +181,10 @@ def test_head_items_top_fifth_with_index_ties():
 def test_head_tail_partitions_exactly():
     freqs = np.zeros(11)
     freqs[1:] = np.arange(10, 0, -1)
-    records = [RankRecord(target=t, rank=r, hist_len=3)
-               for t, r in [(1, 1), (2, 30), (5, 2), (9, 4)]]
-    head_rep, tail_rep = head_tail_report(records, freqs, 10)
+    samples = [Sample((1, 2, 3), t) for t in (1, 2, 5, 9)]
+    head_rep, tail_rep = head_tail_report(samples, [1, 30, 2, 4], freqs, 10)
     assert head_rep.label == "head" and tail_rep.label == "tail"
-    assert head_rep.n_evaluated + tail_rep.n_evaluated == len(records)
+    assert head_rep.n_evaluated + tail_rep.n_evaluated == len(samples)
     assert head_rep.n_evaluated == 2
     assert head_rep.hr[5] == pytest.approx(0.5)
 
@@ -211,30 +192,27 @@ def test_head_tail_partitions_exactly():
 def test_head_tail_empty_side_is_marked():
     freqs = np.zeros(11)
     freqs[1:] = np.arange(10, 0, -1)
-    records = [RankRecord(target=1, rank=1, hist_len=2)]
-    _, tail_rep = head_tail_report(records, freqs, 10)
+    _, tail_rep = head_tail_report([Sample((1, 2), 1)], [1], freqs, 10)
     assert tail_rep.empty
 
 
 def test_length_buckets_partition_uniform_lengths():
-    records = [RankRecord(target=1, rank=1, hist_len=l) for l in range(1, 101)]
-    reports = length_bucket_report(records)
+    samples = [Sample((1,) * l, 1) for l in range(1, 101)]
+    reports = length_bucket_report(samples, [1] * 100)
     assert len(reports) == 5
     assert [r.n_evaluated for r in reports] == [20, 20, 20, 20, 20]
     assert sum(r.n_evaluated for r in reports) == 100
 
 
 def test_length_buckets_degenerate_lengths_fall_into_one():
-    records = [RankRecord(target=1, rank=1, hist_len=7) for _ in range(10)]
-    reports = length_bucket_report(records)
+    reports = length_bucket_report([Sample((1,) * 7, 1)] * 10, [1] * 10)
     assert reports[0].n_evaluated == 10
     assert all(r.empty for r in reports[1:])
 
 
 def test_length_buckets_fallback_below_five():
-    records = [RankRecord(target=1, rank=1, hist_len=3)] * 3
     with pytest.warns(UserWarning):
-        reports = length_bucket_report(records)
+        reports = length_bucket_report([Sample((1, 2, 3), 1)] * 3, [1] * 3)
     assert len(reports) == 1 and reports[0].n_evaluated == 3
 
 

@@ -336,7 +336,7 @@ def test_forward_rejects_masks_that_are_not_right_padded(approximator, mask_row)
 
 
 @pytest.mark.parametrize("approximator", ["transformer", "gru"])
-@pytest.mark.parametrize("entry", ["forward", "reconstruct", "encode_history"])
+@pytest.mark.parametrize("entry", ["forward", "reconstruct"])
 def test_eval_refuses_padded_rows(approximator, entry):
     # scorers group eval histories by length, so an eval row is never padded
     cfg = tiny_config(approximator=approximator)
@@ -345,8 +345,7 @@ def test_eval_refuses_padded_rows(approximator, entry):
     mask = (hist > 0).astype(float)
     call = {"forward": lambda: model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, False),
             "reconstruct": lambda: model.reconstruct(hist, mask, np.zeros((2, cfg.dim)),
-                                                     [1, 2], RngStream(1), train_mode=False),
-            "encode_history": lambda: model.encode_history(hist, mask, train_mode=False)}[entry]
+                                                     [1, 2], RngStream(1), train_mode=False)}[entry]
     with pytest.raises(ValueError, match="eval rows must be unpadded"):
         call()
     model.forward(Tensor(np.ones((2, 3, cfg.dim))), mask, True, RngStream(0))  # training takes them

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from seqdiff.config import TrainConfig
-from seqdiff.schedule import (KINDS, build_schedule, dump_schedule_csv, posterior, respace,
+from seqdiff.config import SCHEDULE_KINDS, TrainConfig
+from seqdiff.schedule import (build_schedule, dump_schedule_csv, posterior, respace,
                               schedule_from_betas)
 
 
@@ -41,7 +41,7 @@ def test_truncation_bound_property():
         assert np.all(sch.betas[raw > 1.0] == raw[raw > 1.0] / 10)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_alpha_bar_strictly_decreasing_from_one(kind):
     sch = build_schedule(kind, t=32)
     assert np.all(sch.betas > 0) and np.all(sch.betas < 1)
@@ -50,7 +50,7 @@ def test_alpha_bar_strictly_decreasing_from_one(kind):
     assert np.all(np.diff(1.0 - bars) > 0)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_internal_consistency(kind):
     sch = build_schedule(kind, t=32)
     assert np.array_equal(sch.alphas, 1.0 - sch.betas)
@@ -80,30 +80,29 @@ def test_alpha_bar_range_check():
 
 
 def test_posterior_degenerates_at_step_one():
-    for kind in KINDS:
-        post = posterior(build_schedule(kind, t=32), 1)
-        assert (post.coef_x0, post.coef_xs, post.beta_tilde) == (1.0, 0.0, 0.0)
+    for kind in SCHEDULE_KINDS:
+        assert posterior(build_schedule(kind, t=32), 1) == (1.0, 0.0, 0.0)
 
 
 def test_posterior_hand_values():
     sch = schedule_from_betas("truncated-linear", [0.1, 0.2])
-    post = posterior(sch, 2)
-    assert post.coef_x0 == pytest.approx(math.sqrt(0.9) * 0.2 / 0.28, rel=1e-12)
-    assert post.coef_xs == pytest.approx(math.sqrt(0.8) * 0.1 / 0.28, rel=1e-12)
-    assert post.beta_tilde == pytest.approx(0.1 / 0.28 * 0.2, rel=1e-12)
-    assert post.coef_x0 == pytest.approx(0.6776, abs=1e-4)
-    assert post.coef_xs == pytest.approx(0.3194, abs=1e-4)
-    assert post.beta_tilde == pytest.approx(0.07143, abs=1e-5)
+    coef_x0, coef_xs, beta_tilde = posterior(sch, 2)
+    assert coef_x0 == pytest.approx(math.sqrt(0.9) * 0.2 / 0.28, rel=1e-12)
+    assert coef_xs == pytest.approx(math.sqrt(0.8) * 0.1 / 0.28, rel=1e-12)
+    assert beta_tilde == pytest.approx(0.1 / 0.28 * 0.2, rel=1e-12)
+    assert coef_x0 == pytest.approx(0.6776, abs=1e-4)
+    assert coef_xs == pytest.approx(0.3194, abs=1e-4)
+    assert beta_tilde == pytest.approx(0.07143, abs=1e-5)
 
 
 def test_posterior_linearity_on_equal_inputs():
     sch = build_schedule("truncated-linear", t=12)
     v = 1.7
     for s in range(1, 13):
-        post = posterior(sch, s)
-        mean = post.coef_x0 * v + post.coef_xs * v
-        assert mean == pytest.approx((post.coef_x0 + post.coef_xs) * v, rel=1e-15)
-        assert post.beta_tilde >= 0.0
+        coef_x0, coef_xs, beta_tilde = posterior(sch, s)
+        mean = coef_x0 * v + coef_xs * v
+        assert mean == pytest.approx((coef_x0 + coef_xs) * v, rel=1e-15)
+        assert beta_tilde >= 0.0
 
 
 def test_posterior_step_range():
@@ -149,7 +148,7 @@ def test_schedule_dump_round_trips_through_csv(tmp_path):
 def test_schedule_shapes_match_reference_ordering():
     """sqrt noisiest at the start; truncated-linear drops hardest mid-process."""
     t = 32
-    schedules = {kind: build_schedule(kind, t=t) for kind in KINDS}
+    schedules = {kind: build_schedule(kind, t=t) for kind in SCHEDULE_KINDS}
     first_bars = {kind: s.alpha_bars[0] for kind, s in schedules.items()}
     assert min(first_bars, key=first_bars.get) == "sqrt"
     bars = np.concatenate([[1.0], schedules["truncated-linear"].alpha_bars])
@@ -170,7 +169,7 @@ def _reference_posterior(schedule, s):
             (1.0 - ab_prev) / denom * beta)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_posterior_table_equals_per_step_reference_exactly(kind):
     horizons = []
     for t in (1, 8, 32, 1000):
@@ -184,8 +183,7 @@ def test_posterior_table_equals_per_step_reference_exactly(kind):
         for s in range(1, t + 1):
             row = (sch.coef_x0[s - 1], sch.coef_xs[s - 1], sch.beta_tilde[s - 1])
             assert row == _reference_posterior(sch, s)
-            post = posterior(sch, s)
-            assert (post.coef_x0, post.coef_xs, post.beta_tilde) == row
+            assert posterior(sch, s) == row
     assert horizons == ([1, 32, 1000] if kind == "linear" else [1, 8, 32, 1000])
 
 
@@ -198,7 +196,7 @@ def test_family_options_apply_only_to_truncated_linear(kind, option, value):
     build_schedule("truncated-linear", t=32, **{option: value})
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_a_config_of_any_family_builds_with_its_default_options(kind):
     cfg = TrainConfig(schedule_kind=kind)
     sch = build_schedule(kind, cfg.t, cfg.schedule_a, cfg.schedule_b, cfg.schedule_tau)
@@ -206,7 +204,7 @@ def test_a_config_of_any_family_builds_with_its_default_options(kind):
     assert build_schedule(kind, cfg.t).betas.tobytes() == sch.betas.tobytes()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_respaced_table_keeps_alpha_bar_at_the_visited_steps(kind):
     sch = build_schedule(kind, t=32)
     visited = np.array([4, 8, 16, 24, 32])
@@ -218,7 +216,7 @@ def test_respaced_table_keeps_alpha_bar_at_the_visited_steps(kind):
     assert (resp.coef_x0[0], resp.coef_xs[0], resp.beta_tilde[0]) == (1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_horizon_over_the_ceiling_is_refused_before_any_column_is_built(kind, monkeypatch):
     from seqdiff.config import MAX_T_LIMIT
 
